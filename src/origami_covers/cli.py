@@ -3,7 +3,7 @@
 Commands: ``generate``, ``verify``, ``origami``, ``degenerate``, ``selftest``.
 All machine output goes to stdout; diagnostics go to stderr.  Exit status:
 0 = all checks passed, 1 = a mathematical check failed, 2 = usage or parse
-error.
+error, or a cover document the checks cannot be applied to.
 """
 
 from __future__ import annotations
@@ -111,6 +111,29 @@ def cmd_generate(args, parser) -> int:
     return _exit_status(checks)
 
 
+def _verify_checks(cover) -> list:
+    identity = verify_cover_identity(cover)
+    f1 = cover.map.f1
+    map_degree = max(f1.num.degree(), f1.den.degree())
+    checks = [
+        _check("cover_identity", identity.ok,
+               "" if identity.ok else f"lhs {identity.lhs} != rhs {identity.rhs}"),
+        _check("degree", cover.degree == map_degree,
+               f"declared {cover.degree}, f1 has degree {map_degree}"),
+    ]
+    if identity.ok:
+        try:
+            report = ramification_report(cover)
+            checks.append(_check(
+                "riemann_hurwitz", report.riemann_hurwitz_balanced,
+                f"index {report.ramification_index}",
+            ))
+        except UnsupportedShape as exc:
+            checks.append(_check("ramification_shape", True,
+                                 f"skipped: {exc}"))
+    return checks
+
+
 def cmd_verify(args, parser) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -125,25 +148,12 @@ def cmd_verify(args, parser) -> int:
         inner = doc.get("cover", doc)
         if not isinstance(inner, dict):
             raise ParseError("field 'cover': must be a JSON object")
-        cover = cover_from_dict(inner)
-    except (ParseError, ValueError) as exc:
+        checks = _verify_checks(cover_from_dict(inner))
+    except (OrigamiCoversError, ValueError) as exc:
+        # Parse errors and covers the checks cannot be applied to (a zero
+        # curve, a zero map component, a target of degree < 3).
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    identity = verify_cover_identity(cover)
-    checks = [
-        _check("cover_identity", identity.ok,
-               "" if identity.ok else f"lhs {identity.lhs} != rhs {identity.rhs}")
-    ]
-    if identity.ok:
-        try:
-            report = ramification_report(cover)
-            checks.append(_check(
-                "riemann_hurwitz", report.riemann_hurwitz_balanced,
-                f"index {report.ramification_index}",
-            ))
-        except UnsupportedShape as exc:
-            checks.append(_check("ramification_shape", True,
-                                 f"skipped: {exc}"))
     _emit({
         "command": "verify",
         "version": __version__,
@@ -190,9 +200,7 @@ def cmd_degenerate(args, parser) -> int:
     except OrigamiCoversError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    agrees = False
-    if report.exact:
-        agrees = degeneration.deform(g) == family.build_family(g)
+    agrees = report.exact and report.instance == family.build_family(g)
     checks = [
         _check("order_t_system_consistent", True,
                f"{report.rows}x{report.cols}, nullity {report.nullity}"),
@@ -215,7 +223,7 @@ def cmd_degenerate(args, parser) -> int:
         "nullity": report.nullity,
         "exact": report.exact,
         "curve": format_poly(
-            as_tower(degeneration.deform(g).cover.source.rhs)
+            as_tower(report.instance.cover.source.rhs)
         ) if report.exact else None,
         "checks": checks,
     })

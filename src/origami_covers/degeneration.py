@@ -195,74 +195,48 @@ def deformation_ansatz(g: int) -> DeformationAnsatz:
     )
 
 
-def _perturbed_pieces(g: int, values: dict):
-    """Tower-polynomial source curve, map numerator factor, and map
-    denominator for a numeric assignment of the ansatz unknowns."""
-    ansatz = deformation_ansatz(g)
-    a_poly, b_poly = _map_polys(g)
-    # Source: x^(2g+1) + (1 + a_1 t) x^(2g) + a_2 t x^(2g-1) + ... + a_2g t x.
+def _perturbed_source(g: int, values: dict) -> Poly:
+    """The source x^(2g+1) + (1 + a_1 t) x^(2g) + a_2 t x^(2g-1) + ... +
+    a_2g t x over Q[t], for a numeric assignment of the curve unknowns."""
     coeffs = [t_constant(0)] * (2 * g + 2)
     coeffs[2 * g + 1] = t_constant(1)
-    for i, name in enumerate(ansatz.curve_unknowns, start=1):
-        base = Fraction(1) if i == 1 else Fraction(0)
-        coeffs[2 * g + 1 - i] = t_linear(base, values[name])
-    source = Poly(coeffs)
-    # Denominator B with every coefficient perturbed, highest degree first.
-    den_coeffs = [t_constant(c) for c in b_poly.coeffs]
-    for name, deg in zip(ansatz.den_unknowns, range(g - 1, -1, -1)):
-        den_coeffs[deg] = t_linear(b_poly.coefficient(deg), values[name])
-    den = Poly(den_coeffs)
-    # Numerator factor A with non-leading coefficients perturbed.
-    num_coeffs = [t_constant(c) for c in a_poly.coeffs]
-    for name, deg in zip(ansatz.num_unknowns, range(g - 2, -1, -1)):
-        num_coeffs[deg] = t_linear(a_poly.coefficient(deg), values[name])
-    num = Poly(num_coeffs)
-    return source, num, den
-
-
-def _order_t_residual(g: int, values: dict) -> Poly:
-    """Coefficient of t^1 in the cleared cover identity, as a Q[x] polynomial.
-
-    The t^0 part is asserted to vanish (the degenerate cover is valid), and
-    the t^1 part is affine in the unknown values.
-    """
-    source, num_factor, den = _perturbed_pieces(g, values)
-    x = Poly([t_constant(0), t_constant(1)])
-    big_x = x ** (2 * g - 1)
-    n_full = x ** (g - 1) * num_factor
-    den_sq = den * den
-    t_sym = Poly([Poly([0, 1], var="t")])
-    residual = n_full * n_full * source - big_x * (big_x + den_sq) * (
-        big_x + t_sym * den_sq
-    )
-    t0 = residual.map_coefficients(
-        lambda c: c.coefficient(0) if isinstance(c, Poly) else c
-    )
-    assert not t0, "degenerate cover identity broke at order t^0"
-    return residual.map_coefficients(
-        lambda c: c.coefficient(1) if isinstance(c, Poly) else Fraction(0)
-    )
+    for i, name in enumerate(deformation_ansatz(g).curve_unknowns, start=1):
+        coeffs[2 * g + 1 - i] = t_linear(1 if i == 1 else 0, values[name])
+    return Poly(coeffs)
 
 
 def assemble_deformation_system(g: int) -> LinearSystem:
-    """Equate each t*x^i coefficient of the perturbed identity to zero."""
-    ansatz = deformation_ansatz(g)
-    zero = {name: Fraction(0) for name in ansatz.unknowns}
-    base = _order_t_residual(g, zero)
-    columns = []
-    max_deg = base.degree() if base else -1
-    for name in ansatz.unknowns:
-        probe = dict(zero, **{name: Fraction(1)})
-        col = _order_t_residual(g, probe) - base
-        columns.append(col)
-        if col:
-            max_deg = max(max_deg, col.degree())
-    n_rows = int(max_deg) + 1 if max_deg >= 0 else 0
-    matrix = [
-        [col.coefficient(i) for col in columns] for i in range(n_rows)
-    ]
-    rhs = [-base.coefficient(i) for i in range(n_rows)]
-    return LinearSystem(matrix, rhs)
+    """Equate each t*x^i coefficient of the perturbed identity to zero.
+
+    The cleared identity is x^(2g-2) N^2 S = X (X + D^2) (X + t D^2) with
+    X = x^(2g-1), S0 = x^(2g+1) + x^(2g), source S = S0 + t sum a_i
+    x^(2g+1-i), numerator factor N = A + t sum n_d x^d and denominator
+    D = B + t sum e_d x^d, where A, B come from :func:`_map_polys`.  Its t^1
+    coefficient is affine in the unknowns, so the system is written down in
+    closed form: the column of a_i is x^(2g-2) A^2 x^(2g+1-i), that of e_d
+    is -2 X^2 B x^d, that of n_d is 2 x^(2g-2) A S0 x^d, and the right-hand
+    side is X (X + B^2) B^2.
+    """
+    _check_genus(g)
+    a, b = _map_polys(g)
+    x = Poly.variable()
+    big_x = x ** (2 * g - 1)
+    lead = x ** (2 * g - 2)
+    source = degenerate_source_rhs(g)
+    a_sq, b_sq = a * a, b * b
+    if lead * a_sq * source != big_x * big_x * (big_x + b_sq):
+        raise PipelineError(
+            f"degenerate cover identity broke at order t^0 at genus {g}"
+        )
+    # Column order follows deformation_ansatz: a_1..a_2g, e_(g-1)..e_0,
+    # n_(g-2)..n_0.
+    columns = [lead * a_sq * x ** (2 * g + 1 - i) for i in range(1, 2 * g + 1)]
+    columns += [-2 * big_x * big_x * b * x**d for d in range(g - 1, -1, -1)]
+    columns += [2 * lead * a * source * x**d for d in range(g - 2, -1, -1)]
+    rhs = big_x * (big_x + b_sq) * b_sq
+    n_rows = max(int(p.degree()) for p in columns + [rhs]) + 1
+    matrix = [[col.coefficient(i) for col in columns] for i in range(n_rows)]
+    return LinearSystem(matrix, [rhs.coefficient(i) for i in range(n_rows)])
 
 
 @dataclass(frozen=True)
@@ -273,7 +247,11 @@ class DeformationReport:
     cols: int
     solution: dict
     nullity: int
-    exact: bool
+    instance: FamilyInstance | None  # the deformed cover, None if not exact
+
+    @property
+    def exact(self) -> bool:
+        return self.instance is not None
 
 
 def solve_deformation(g: int):
@@ -281,29 +259,24 @@ def solve_deformation(g: int):
 
     When the solution space allows it, the representative with every map
     perturbation equal to zero is preferred: the map of the smooth family is
-    expected to coincide with the degenerate map.  The reported nullity is
-    that of the unpinned system.
+    expected to coincide with the degenerate map.  It is found by solving on
+    the curve columns alone and appending zeros for the map unknowns.  The
+    reported nullity and rank are those of the unpinned system.
     """
     ansatz = deformation_ansatz(g)
     system = assemble_deformation_system(g)
     outcome = solve_exact(system)
     n_curve = len(ansatz.curve_unknowns)
     if outcome.consistent and outcome.nullity > 0 and ansatz.map_unknowns:
-        pin_rows = []
-        pin_rhs = []
-        for col in range(n_curve, system.cols):
-            row = [Fraction(0)] * system.cols
-            row[col] = Fraction(1)
-            pin_rows.append(row)
-            pin_rhs.append(Fraction(0))
-        pinned = LinearSystem(
-            list(system.matrix) + pin_rows, list(system.rhs) + pin_rhs
+        curve_only = LinearSystem(
+            [row[:n_curve] for row in system.matrix], system.rhs
         )
-        pinned_outcome = solve_exact(pinned)
-        if pinned_outcome.consistent:
+        pinned = solve_exact(curve_only)
+        if pinned.consistent:
+            zeros = (Fraction(0),) * len(ansatz.map_unknowns)
             outcome = LinearSolution(
                 consistent=True,
-                solution=pinned_outcome.solution,
+                solution=pinned.solution + zeros,
                 nullity=outcome.nullity,
                 rank=outcome.rank,
                 free_columns=outcome.free_columns,
@@ -319,19 +292,17 @@ def deform(g: int, solution: dict | None = None) -> FamilyInstance:
     cover identity, not just at order t.
     """
     _check_genus(g)
-    ansatz = deformation_ansatz(g)
     if solution is None:
-        _, _, outcome = solve_deformation(g)
+        ansatz, _, outcome = solve_deformation(g)
         if not outcome.consistent:
             raise DeformationFailed(f"order-t system inconsistent at genus {g}")
         solution = dict(zip(ansatz.unknowns, outcome.solution))
-    source, _, _ = _perturbed_pieces(g, solution)
     a_poly, b_poly = _map_polys(g)
     x = Poly.variable()
     f1 = RatFunc(x ** (2 * g - 1), b_poly * b_poly)
     f2 = RatFunc(x ** (g - 1) * a_poly, b_poly**3)
     cover = Cover(
-        source=HyperellipticCurve(source),
+        source=HyperellipticCurve(_perturbed_source(g, solution)),
         target=legendre_curve(),
         map=CoverMap(f1=f1, f2=f2),
         degree=2 * g - 1,
@@ -350,10 +321,9 @@ def deformation_report(g: int) -> DeformationReport:
         raise DeformationFailed(f"order-t system inconsistent at genus {g}")
     solution = dict(zip(ansatz.unknowns, outcome.solution))
     try:
-        deform(g, solution=solution)
-        exact = True
+        instance = deform(g, solution=solution)
     except FirstOrderOnly:
-        exact = False
+        instance = None
     return DeformationReport(
         genus=g,
         ansatz=ansatz,
@@ -361,5 +331,5 @@ def deformation_report(g: int) -> DeformationReport:
         cols=system.cols,
         solution=solution,
         nullity=outcome.nullity,
-        exact=exact,
+        instance=instance,
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from origami_covers import degeneration
 from origami_covers.cli import main
 
 
@@ -98,6 +99,33 @@ class TestVerify:
         assert code == 2
         assert "source_rhs" in err
 
+    @pytest.mark.parametrize("fields", [
+        {"source_rhs": "0"},
+        {"f1": "0", "f2": "0"},
+        {"source_rhs": "x^4", "target_rhs": "x^2", "f1": "x^2", "f2": "1",
+         "degree": 2},
+    ], ids=["zero-source", "zero-map", "low-degree-target"])
+    def test_uncheckable_cover_exits_two(self, capsys, tmp_path, fields):
+        _, out, _ = run(capsys, "generate", "--genus", "2")
+        doc = dict(json.loads(out)["cover"], **fields)
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_wrong_degree_exits_one(self, capsys, tmp_path):
+        _, out, _ = run(capsys, "generate", "--genus", "2")
+        doc = dict(json.loads(out)["cover"], degree=7)
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        checks = {c["name"]: c["passed"] for c in json.loads(out)["checks"]}
+        assert checks["cover_identity"]
+        assert not checks["degree"]
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2
@@ -127,6 +155,20 @@ class TestDegenerate:
         }
         assert doc["exact"] is True
         assert doc["curve"].startswith("x^5")
+
+    def test_pipeline_runs_once(self, capsys, monkeypatch):
+        calls = {}
+        for name in ("assemble_deformation_system", "solve_deformation",
+                     "deform"):
+            def counted(*args, _fn=getattr(degeneration, name), _name=name,
+                        **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(degeneration, name, counted)
+        code, _, _ = run(capsys, "degenerate", "--genus", "3")
+        assert code == 0
+        assert calls == {"assemble_deformation_system": 1,
+                         "solve_deformation": 1, "deform": 1}
 
     def test_genus_one_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import pytest
 
 from origami_covers.curves import verify_cover_identity
 from origami_covers.degeneration import (
+    _map_polys,
     assemble_deformation_system,
     deform,
     deformation_ansatz,
@@ -20,7 +21,7 @@ from origami_covers.degeneration import (
 from origami_covers.errors import FirstOrderOnly, InvalidDegree, InvalidGenus
 from origami_covers.family import build_family
 from origami_covers.linalg import solve_exact
-from origami_covers.poly import Poly
+from origami_covers.poly import Poly, t_constant, t_linear
 
 z = Poly.variable("z")
 
@@ -101,7 +102,51 @@ class TestDegenerateCover:
             assert degenerate_cover(g).map == build_family(g).cover.map
 
 
+def _order_t_residual(g, values):
+    """t^1 coefficient of the cleared identity with every ansatz unknown
+    perturbed: x^(2g-2) N^2 S - X (X + D^2) (X + t D^2), X = x^(2g-1)."""
+    ansatz = deformation_ansatz(g)
+    a_poly, b_poly = _map_polys(g)
+    source = [t_constant(0)] * (2 * g + 2)
+    source[2 * g + 1] = t_constant(1)
+    for i, name in enumerate(ansatz.curve_unknowns, start=1):
+        source[2 * g + 1 - i] = t_linear(1 if i == 1 else 0, values[name])
+    den = [t_constant(c) for c in b_poly.coeffs]
+    for name, deg in zip(ansatz.den_unknowns, range(g - 1, -1, -1)):
+        den[deg] = t_linear(b_poly.coefficient(deg), values[name])
+    num = [t_constant(c) for c in a_poly.coeffs]
+    for name, deg in zip(ansatz.num_unknowns, range(g - 2, -1, -1)):
+        num[deg] = t_linear(a_poly.coefficient(deg), values[name])
+    x = Poly([t_constant(0), t_constant(1)])
+    big_x = x ** (2 * g - 1)
+    n_full = x ** (g - 1) * Poly(num)
+    den_sq = Poly(den) * Poly(den)
+    t = Poly([Poly([0, 1], var="t")])
+    residual = n_full * n_full * Poly(source) - big_x * (big_x + den_sq) * (
+        big_x + t * den_sq
+    )
+    assert not residual.map_coefficients(lambda c: c.coefficient(0))
+    return residual.map_coefficients(lambda c: c.coefficient(1))
+
+
 class TestDeformation:
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    def test_closed_form_system_matches_probing(self, g):
+        # Each unit vector of the ansatz, substituted into the perturbed
+        # identity, gives one column; the unperturbed residual gives -rhs.
+        names = deformation_ansatz(g).unknowns
+        zero = dict.fromkeys(names, Fraction(0))
+        base = _order_t_residual(g, zero)
+        columns = [_order_t_residual(g, dict(zero, **{name: Fraction(1)}))
+                   - base for name in names]
+        system = assemble_deformation_system(g)
+        n_rows = max(p.degree() for p in columns + [base]) + 1
+        assert system.rows == n_rows
+        for i in range(n_rows):
+            assert system.rhs[i] == -base.coefficient(i)
+            for j, col in enumerate(columns):
+                assert system.matrix[i][j] == col.coefficient(i)
+
     def test_genus_two_ansatz(self):
         ansatz = deformation_ansatz(2)
         assert ansatz.unknowns == ("a", "b", "c", "d", "e", "f", "g")
