@@ -22,7 +22,7 @@ from .curves import (
 )
 from .errors import OrigamiCoversError, ParseError, UnsupportedShape
 from .parsing import format_poly, format_ratfunc
-from .poly import Poly, as_tower
+from .poly import Poly
 from .selftest import run_selftest
 
 DEFAULT_MAX_GENUS = 64
@@ -222,9 +222,8 @@ def cmd_degenerate(args, parser) -> int:
         },
         "nullity": report.nullity,
         "exact": report.exact,
-        "curve": format_poly(
-            as_tower(report.instance.cover.source.rhs)
-        ) if report.exact else None,
+        "curve": format_poly(report.instance.cover.source.rhs)
+        if report.exact else None,
         "checks": checks,
     })
     return _exit_status(checks)

@@ -14,15 +14,7 @@ from fractions import Fraction
 
 from .errors import InvalidCover, InvalidCurve, ParseError, UnsupportedShape
 from .parsing import format_poly, format_ratfunc, parse_poly, parse_ratfunc
-from .poly import (
-    Poly,
-    as_tower,
-    is_t_free,
-    lift_to_tower,
-    lower_from_tower,
-    squarefree_part,
-    substitute_t,
-)
+from .poly import Poly, is_t_free, lower_from_tower, poly_gcd, substitute_t
 from .ratfunc import RatFunc
 
 
@@ -37,7 +29,7 @@ class HyperellipticCurve:
             raise InvalidCurve("curve right-hand side must be nonzero")
 
     def is_over_q(self) -> bool:
-        return is_t_free(as_tower(self.rhs))
+        return is_t_free(self.rhs)
 
     def __eq__(self, other):
         if not isinstance(other, HyperellipticCurve):
@@ -91,24 +83,28 @@ def genus_arithmetic(curve: HyperellipticCurve) -> int:
 
 
 def genus_geometric(curve: HyperellipticCurve) -> int:
-    """Genus of the smooth model: replace rhs by its squarefree part."""
+    """Genus of the smooth model: replace rhs by its odd part.
+
+    Squared factors come out of y, so the smooth model is y^2 = h with h the
+    product of the factors of odd multiplicity.  Along the chain a_0 = rhs,
+    a_(k+1) = gcd(a_k, a_k'), deg a_k - deg a_(k+1) counts the distinct
+    factors of multiplicity > k, so the alternating sum of those differences
+    is deg h.
+    """
     if not curve.is_over_q():
         raise InvalidCurve("geometric genus requires a curve over Q")
-    rhs = lower_from_tower(as_tower(curve.rhs))
-    reduced = squarefree_part(rhs)
-    deg = reduced.degree()
-    if deg <= 0:
-        return 0
-    return (int(deg) - 1) // 2
+    a = lower_from_tower(curve.rhs)
+    deg, sign = 0, 1
+    while a.degree() > 0:
+        nxt = poly_gcd(a, a.derivative())
+        deg += sign * int(a.degree() - nxt.degree())
+        a, sign = nxt, -sign
+    return max(deg - 1, 0) // 2
 
 
 def specialize_t(curve: HyperellipticCurve, value) -> HyperellipticCurve:
     """Substitute t := value into every coefficient."""
-    return HyperellipticCurve(substitute_t(as_tower(curve.rhs), value))
-
-
-def _lift_ratfunc_parts(r: RatFunc):
-    return lift_to_tower(r.num), lift_to_tower(r.den)
+    return HyperellipticCurve(substitute_t(curve.rhs, value))
 
 
 def verify_cover_identity(cover: Cover) -> CoverCertificate:
@@ -116,20 +112,23 @@ def verify_cover_identity(cover: Cover) -> CoverCertificate:
 
     p is the source right-hand side and q the target right-hand side; the
     check clears all denominators and compares two polynomials in Q[t][x].
+    The map's parts stay in Q[x]; a coefficient of q, rational or in Q[t],
+    enters the x-arithmetic as the constant polynomial ``Poly.constant(c)``.
     """
-    p = as_tower(cover.source.rhs)
-    q = as_tower(cover.target.rhs)
-    a, b = _lift_ratfunc_parts(cover.map.f1)
-    n, d = _lift_ratfunc_parts(cover.map.f2)
+    p = cover.source.rhs
+    q = cover.target.rhs
+    a, b = cover.map.f1.num, cover.map.f1.den
+    n, d = cover.map.f2.num, cover.map.f2.den
     m = int(q.degree())
     # q(f1) with f1 = a/b has denominator b^m after clearing.
     q_of_f1 = Poly([], var=p.var)
     for i in range(m + 1):
         c = q.coefficient(i)
         if c:
-            q_of_f1 = q_of_f1 + c * a**i * b ** (m - i)
-    lhs = n * n * p * b**m
-    rhs = q_of_f1 * d * d
+            term = a**i * b ** (m - i)
+            q_of_f1 = q_of_f1 + Poly.constant(c, var=p.var) * term
+    lhs = p * (n * n * b**m)
+    rhs = q_of_f1 * (d * d)
     return CoverCertificate(
         ok=(lhs - rhs) == 0,
         lhs=format_poly(lhs),
@@ -188,8 +187,8 @@ def ramification_report(cover: Cover) -> RamificationReport:
 
 def cover_to_dict(cover: Cover) -> dict:
     return {
-        "source_rhs": format_poly(as_tower(cover.source.rhs)),
-        "target_rhs": format_poly(as_tower(cover.target.rhs)),
+        "source_rhs": format_poly(cover.source.rhs),
+        "target_rhs": format_poly(cover.target.rhs),
         "f1": format_ratfunc(cover.map.f1),
         "f2": format_ratfunc(cover.map.f2),
         "degree": cover.degree,

@@ -29,7 +29,7 @@ from .errors import (
 )
 from .family import FamilyInstance, legendre_curve
 from .linalg import LinearSolution, LinearSystem, solve_exact
-from .poly import Poly, t_constant, t_linear
+from .poly import Poly, t_linear
 from .ratfunc import RatFunc
 
 UVAR = "u"
@@ -198,8 +198,8 @@ def deformation_ansatz(g: int) -> DeformationAnsatz:
 def _perturbed_source(g: int, values: dict) -> Poly:
     """The source x^(2g+1) + (1 + a_1 t) x^(2g) + a_2 t x^(2g-1) + ... +
     a_2g t x over Q[t], for a numeric assignment of the curve unknowns."""
-    coeffs = [t_constant(0)] * (2 * g + 2)
-    coeffs[2 * g + 1] = t_constant(1)
+    coeffs = [0] * (2 * g + 2)
+    coeffs[2 * g + 1] = 1
     for i, name in enumerate(deformation_ansatz(g).curve_unknowns, start=1):
         coeffs[2 * g + 1 - i] = t_linear(1 if i == 1 else 0, values[name])
     return Poly(coeffs)

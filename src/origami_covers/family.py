@@ -21,7 +21,7 @@ from .curves import (
     verify_cover_identity,
 )
 from .errors import InvalidGenus, PipelineError
-from .poly import Poly, binomial, lift_to_tower, t_constant
+from .poly import TVAR, Poly, binomial
 from .ratfunc import RatFunc
 
 
@@ -86,8 +86,8 @@ def companion_identities(g: int) -> CompanionCertificate:
 
 def legendre_curve() -> HyperellipticCurve:
     """E_t : y^2 = x (x+1) (x+t) over Q[t], expanded."""
-    x = Poly([t_constant(0), t_constant(1)])
-    x_plus_t = Poly([Poly([0, 1], var="t"), t_constant(1)])
+    x = Poly.variable()
+    x_plus_t = Poly([Poly([0, 1], var=TVAR), 1])
     return HyperellipticCurve(x * (x + 1) * x_plus_t)
 
 
@@ -95,11 +95,9 @@ def family_source_curve(g: int) -> HyperellipticCurve:
     """C_t : y^2 = x (x+1) (x^(2g-1) + t j(x)^2) over Q[t], expanded."""
     _check_genus(g)
     j = j_poly(g)
-    x = Poly([t_constant(0), t_constant(1)])
-    inner = lift_to_tower(j * j).map_coefficients(
-        lambda c: Poly([0, c.constant_value()], var="t")
-    ) + x ** (2 * g - 1)
-    return HyperellipticCurve(x * (x + 1) * inner)
+    x = Poly.variable()
+    t_j_sq = (j * j).map_coefficients(lambda c: Poly([0, c], var=TVAR))
+    return HyperellipticCurve(x * (x + 1) * (x ** (2 * g - 1) + t_j_sq))
 
 
 def build_family(g: int) -> FamilyInstance:

@@ -4,6 +4,12 @@ Grammar: integer and rational literals, the main variable (``x`` unless told
 otherwise), the parameter ``t``, the operators ``+ - * / ^`` and parentheses,
 with ``^`` restricted to nonnegative integer literal exponents.
 
+Input size is capped before any arithmetic runs: an exponent literal may not
+pass :data:`MAX_PARSE_DEGREE`, and neither may the degree of any numerator or
+denominator built while parsing (a part that involves ``t`` may have at most
+``MAX_PARSE_DEGREE + 1`` rational coefficients in all), so no text can make
+the parser run for long.  Breaking the cap raises :class:`ParseError`.
+
 Printing a polynomial or rational function and parsing the result is the
 identity; the printer is the single source of the canonical text form used in
 the JSON interchange documents.
@@ -15,14 +21,12 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import (
-    Poly,
-    TVAR,
-    is_t_free,
-    lower_from_tower,
-    t_constant,
-)
+from .poly import Poly, TVAR, is_t_free, lower_from_tower
 from .ratfunc import RatFunc
+
+# 512 is above the 3(g-1) = 189 that the denominator j^3 of f2 reaches at the
+# default --max-genus of 64, the largest degree a generated document holds.
+MAX_PARSE_DEGREE = 512
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([-+*/^()]))")
 
@@ -48,8 +52,36 @@ def _tokenize(text: str):
     return tokens
 
 
+def _shape(p: Poly):
+    """(degree in the main variable, degree in t), each at least 0."""
+    t_degree = max(
+        (c.degree() for c in p.coeffs if isinstance(c, Poly) and c), default=0
+    )
+    return max(p.degree(), 0), t_degree
+
+
+def _check_size(x_degree, t_degree):
+    if (x_degree + 1) * (t_degree + 1) > MAX_PARSE_DEGREE + 1:
+        raise ParseError(
+            f"expression exceeds the degree limit {MAX_PARSE_DEGREE}"
+        )
+
+
+def _mul(a: Poly, b: Poly) -> Poly:
+    """a * b, refused before multiplying when the product breaks the cap."""
+    (ax, at), (bx, bt) = _shape(a), _shape(b)
+    _check_size(ax + bx, at + bt)
+    return a * b
+
+
+def _pow(a: Poly, n: int) -> Poly:
+    ax, at = _shape(a)
+    _check_size(ax * n, at * n)
+    return a**n
+
+
 class _Expr:
-    """A quotient of two Q[t][x] polynomials built up during parsing."""
+    """A quotient of two polynomials over Q or Q[t] built up during parsing."""
 
     __slots__ = ("num", "den")
 
@@ -57,37 +89,28 @@ class _Expr:
         self.num = num
         self.den = den
 
-    @classmethod
-    def const(cls, c, var):
-        return cls(Poly([t_constant(c)], var=var), _tower_one(var))
-
     def __add__(self, other):
         return _Expr(
-            self.num * other.den + other.num * self.den, self.den * other.den
+            _mul(self.num, other.den) + _mul(other.num, self.den),
+            _mul(self.den, other.den),
         )
 
     def __sub__(self, other):
-        return _Expr(
-            self.num * other.den - other.num * self.den, self.den * other.den
-        )
+        return self + (-other)
 
     def __mul__(self, other):
-        return _Expr(self.num * other.num, self.den * other.den)
+        return _Expr(_mul(self.num, other.num), _mul(self.den, other.den))
 
     def __truediv__(self, other):
         if not other.num:
             raise ParseError("division by zero in expression")
-        return _Expr(self.num * other.den, self.den * other.num)
+        return _Expr(_mul(self.num, other.den), _mul(self.den, other.num))
 
     def __neg__(self):
         return _Expr(-self.num, self.den)
 
     def __pow__(self, n):
-        return _Expr(self.num**n, self.den**n)
-
-
-def _tower_one(var):
-    return Poly([t_constant(1)], var=var)
+        return _Expr(_pow(self.num, n), _pow(self.den, n))
 
 
 class _Parser:
@@ -156,24 +179,23 @@ class _Parser:
             ekind, exponent = self.next()
             if ekind != "int":
                 raise ParseError("exponent must be a nonnegative integer literal")
+            if exponent > MAX_PARSE_DEGREE:
+                raise ParseError(
+                    f"exponent {exponent} exceeds the limit {MAX_PARSE_DEGREE}"
+                )
             return base**exponent
         return base
 
     def atom(self) -> _Expr:
         kind, value = self.next()
+        one = Poly.constant(1, var=self.var)
         if kind == "int":
-            return _Expr.const(Fraction(value), self.var)
+            return _Expr(Poly.constant(value, var=self.var), one)
         if kind == "name":
             if value == self.var:
-                return _Expr(
-                    Poly([t_constant(0), t_constant(1)], var=self.var),
-                    _tower_one(self.var),
-                )
+                return _Expr(Poly.variable(self.var), one)
             if value == TVAR:
-                return _Expr(
-                    Poly([Poly([0, 1], var=TVAR)], var=self.var),
-                    _tower_one(self.var),
-                )
+                return _Expr(Poly([Poly([0, 1], var=TVAR)], var=self.var), one)
             raise ParseError(f"unknown variable {value!r}")
         if kind == "op" and value == "(":
             inner = self.expr()
@@ -192,7 +214,8 @@ def parse_poly(text: str, var: str = "x") -> Poly:
     """Parse a polynomial over Q or Q[t].
 
     Returns a plain rational-coefficient polynomial when the text does not
-    mention ``t``, and a Q[t][x] tower polynomial otherwise.
+    mention ``t``; otherwise the coefficients are rationals or polynomials
+    in ``t``.
     """
     expr = parse_expression(text, var)
     den = expr.den

@@ -1,9 +1,11 @@
 """Dense univariate polynomials with exact coefficients.
 
-Coefficients are either :class:`fractions.Fraction` (polynomials over the
-rationals) or themselves :class:`Poly` instances in a second variable, which
-gives the two-level tower Q[t][x] used throughout: a polynomial in ``x`` whose
-coefficients are polynomials in ``t``.
+Coefficients are :class:`fractions.Fraction` or :class:`Poly` instances in
+the parameter ``t``, and both kinds may sit in the same coefficient list; a
+polynomial in ``x`` over Q is the special case where no coefficient involves
+``t``, and one over Q[t] is the tower Q[t][x].  Two polynomials combine only
+when they share a variable; anything else raises :class:`ValueError`.  A
+Q[t] scalar enters an x-polynomial as ``Poly.constant(c, var=p.var)``.
 
 Coefficients are stored lowest degree first; the leading stored coefficient is
 always nonzero (the zero polynomial has an empty coefficient list).
@@ -115,16 +117,7 @@ class Poly:
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.var == other.var:
-            return len(self.coeffs) == len(other.coeffs) and all(
-                a == b for a, b in zip(self.coeffs, other.coeffs)
-            )
-        # Cross-variable comparison only makes sense for constants.
-        if other.is_constant():
-            return self == other.constant_value()
-        if self.is_constant():
-            return other == self.constant_value()
-        return False
+        return self.var == other.var and self.coeffs == other.coeffs
 
     __hash__ = None
 
@@ -137,34 +130,12 @@ class Poly:
         if self.var != other.var:
             raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
 
-    def _coeff_ring_var(self):
-        # Variable of the coefficient ring for tower polynomials, else None.
-        if self.coeffs and isinstance(self.coeffs[0], Poly):
-            return self.coeffs[0].var
-        return None
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other, var=self.var)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.var != other.var:
-            # A polynomial in the coefficient ring acts as a scalar.
-            if self._coeff_ring_var() == other.var:
-                out = list(self.coeffs)
-                if not out:
-                    out = [other]
-                else:
-                    out[0] = out[0] + other
-                return Poly(out, var=self.var)
-            if other._coeff_ring_var() == self.var:
-                return other + self
-            if other.is_constant():
-                other = Poly.constant(other.constant_value(), var=self.var)
-            elif self.is_constant():
-                return other + self.constant_value()
-            else:
-                self._check_var(other)
+        self._check_var(other)
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -179,7 +150,7 @@ class Poly:
         return Poly([-c for c in self.coeffs], var=self.var)
 
     def __sub__(self, other):
-        return self + (-other if isinstance(other, (Poly, Fraction)) else -other)
+        return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
@@ -189,16 +160,7 @@ class Poly:
             return Poly([c * other for c in self.coeffs], var=self.var)
         if not isinstance(other, Poly):
             return NotImplemented
-        if self.var != other.var:
-            if self._coeff_ring_var() == other.var:
-                return Poly([c * other for c in self.coeffs], var=self.var)
-            if other._coeff_ring_var() == self.var:
-                return other * self
-            if other.is_constant():
-                return self * other.constant_value()
-            if self.is_constant():
-                return other * self.constant_value()
-            self._check_var(other)
+        self._check_var(other)
         if not self.coeffs or not other.coeffs:
             return Poly([], var=self.var)
         out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
@@ -218,8 +180,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __divmod__(self, other):
@@ -345,27 +308,13 @@ def t_linear(c0, c1) -> Poly:
     return Poly([c0, c1], var=TVAR)
 
 
-def lift_to_tower(p: Poly) -> Poly:
-    """Embed a Q[x] polynomial into Q[t][x] (constant-in-t coefficients)."""
-    return p.map_coefficients(t_constant)
-
-
-def as_tower(p: Poly) -> Poly:
-    """Normalize an x-polynomial to the Q[t][x] representation."""
-    if all(isinstance(c, Poly) for c in p.coeffs):
-        return p
-    return p.map_coefficients(
-        lambda c: c if isinstance(c, Poly) else t_constant(c)
-    )
-
-
 def is_t_free(p: Poly) -> bool:
-    """True when no coefficient of the tower polynomial involves t."""
+    """True when no coefficient involves t."""
     return all(not isinstance(c, Poly) or c.is_constant() for c in p.coeffs)
 
 
 def lower_from_tower(p: Poly) -> Poly:
-    """Project a t-free tower polynomial back to Q[x]."""
+    """The t-free polynomial p with every coefficient a rational."""
     if not is_t_free(p):
         raise ValueError("polynomial depends on t")
     return p.map_coefficients(
@@ -374,7 +323,7 @@ def lower_from_tower(p: Poly) -> Poly:
 
 
 def substitute_t(p: Poly, value) -> Poly:
-    """Evaluate every t-coefficient of a tower polynomial at ``value``."""
+    """Evaluate every t-coefficient of ``p`` at ``value``."""
     value = _coerce(value)
 
     def ev(c):

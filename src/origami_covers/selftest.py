@@ -198,6 +198,24 @@ def check_specializations(max_genus: int):
     return _result("degenerate_specializations", True, f"g=2..{top}")
 
 
+def check_fibre_at_one(max_genus: int):
+    """At t = 1 the inner factor is x^(2g-1) + j^2 = (x+1) k^2, so the fibre
+    is y^2 = x (x+1)^2 k^2, whose smooth model y^2 = x is rational."""
+    top = min(max_genus, 8)
+    x = Poly.variable()
+    for g in range(2, top + 1):
+        inst = family.build_family(g)
+        at1 = specialize_t(inst.cover.source, 1)
+        if at1.rhs != x * (x + 1) ** 2 * inst.k * inst.k:
+            return _result("fibre_at_one", False, f"t=1 curve wrong at g={g}")
+        genus = genus_geometric(at1)
+        if genus != 0:
+            return _result("fibre_at_one", False,
+                           f"t=1 geometric genus {genus} at g={g}")
+    return _result("fibre_at_one", True,
+                   f"x(x+1)^2*k^2 of geometric genus 0 for g=2..{top}")
+
+
 def check_two_branch_map():
     z = Poly.variable(degeneration.ZVAR)
     expected3 = degeneration.two_branch_map(3)
@@ -244,6 +262,7 @@ def run_selftest(max_genus: int = 12):
         check_deformation(max_genus),
         check_origami(max_genus),
         check_specializations(max_genus),
+        check_fibre_at_one(max_genus),
         check_two_branch_map(),
         check_companion_oracle(max_genus),
     ]

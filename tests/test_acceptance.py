@@ -17,7 +17,7 @@ from origami_covers.curves import (
 )
 from origami_covers.parsing import parse_poly
 from origami_covers.poly import Poly
-from origami_covers.selftest import _oracle_companions
+from origami_covers.selftest import _oracle_companions, check_fibre_at_one
 
 x = Poly.variable()
 
@@ -190,3 +190,9 @@ def test_criterion_8_companion_identities():
         not bad,
         f"failed at g={bad}" if bad else "",
     )
+
+
+def test_criterion_9_fibre_at_one():
+    """At t = 1 the source is y^2 = x (x+1)^2 k(x)^2, of geometric genus 0."""
+    result = check_fibre_at_one(8)
+    _criterion("criterion 9: t=1 fibre", result.ok, result.detail)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -126,6 +127,19 @@ class TestVerify:
         assert checks["cover_identity"]
         assert not checks["degree"]
 
+    @pytest.mark.parametrize("source", ["x^999999999", "(x^400)^400"])
+    def test_oversized_input_refused_quickly(self, capsys, tmp_path, source):
+        _, out, _ = run(capsys, "generate", "--genus", "2")
+        doc = dict(json.loads(out)["cover"], source_rhs=source)
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "verify", str(path))
+        assert time.perf_counter() - start < 1
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "limit" in err
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2
@@ -180,7 +194,7 @@ class TestSelftest:
     def test_line_per_check(self, capsys):
         code, out, _ = run(capsys, "selftest", "--max-genus", "3")
         lines = [line for line in out.splitlines() if line]
-        assert len(lines) == 8
+        assert len(lines) == 9
         assert all(line.startswith(("[PASS]", "[FAIL]")) for line in lines)
         # The parameter -1 specialization stays smooth, so that single check
         # reports a failure and the battery exits nonzero.

@@ -45,6 +45,15 @@ class TestGenus:
         # y^2 = x^4 (x+1) is rational: the squarefree part is x(x+1).
         assert genus_geometric(HyperellipticCurve(x**4 * (x + 1))) == 0
 
+    def test_geometric_keeps_only_odd_multiplicities(self):
+        # x^2 leaves y as a square factor: the smooth model is
+        # y^2 = (x-1)(x-2)(x-3)(x-4), of genus 1.
+        rhs = x * x * (x - 1) * (x - 2) * (x - 3) * (x - 4)
+        assert genus_geometric(HyperellipticCurve(rhs)) == 1
+        # (x-1)^3 keeps one factor x-1 in the smooth model.
+        rhs = (x - 1) ** 3 * (x - 2) ** 2 * (x - 3) * (x - 4)
+        assert genus_geometric(HyperellipticCurve(rhs)) == 1
+
     def test_geometric_agrees_when_squarefree(self):
         curve = HyperellipticCurve(x**5 + x + 1)
         assert genus_geometric(curve) == genus_arithmetic(curve) == 2

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import polys, rationals
 from origami_covers.errors import ParseError
 from origami_covers.parsing import (
+    MAX_PARSE_DEGREE,
     format_poly,
     format_ratfunc,
     format_tpoly,
@@ -56,6 +57,29 @@ class TestParsePoly:
     def test_rejects_variable_exponent(self):
         with pytest.raises(ParseError):
             parse_poly("x^x")
+
+    def test_t_free_text_stays_rational(self):
+        p = parse_poly("x^2 + 3*x + 1")
+        assert all(isinstance(c, Fraction) for c in p.coeffs)
+
+
+class TestDegreeCap:
+    def test_cap_itself_is_accepted(self):
+        assert parse_poly(f"x^{MAX_PARSE_DEGREE}").degree() == MAX_PARSE_DEGREE
+
+    @pytest.mark.parametrize("text", [
+        f"x^{MAX_PARSE_DEGREE + 1}",
+        "x^999999999",
+        "1^999999999",
+        "(x^400)^400",
+        "x^400 * x^400",
+        "(x + t)^300",
+        "(t^400)^400",
+        f"1/x^{MAX_PARSE_DEGREE + 1}",
+    ])
+    def test_over_the_cap_is_refused(self, text):
+        with pytest.raises(ParseError, match="limit"):
+            parse_poly(text)
 
 
 class TestParseRatFunc:
@@ -107,6 +131,28 @@ tower_polys = st.builds(
     lambda cs: Poly(cs, var="x"),
     st.lists(tpolys, min_size=0, max_size=5),
 )
+
+
+def _lowered(p):
+    """p with every constant t-coefficient replaced by its rational value."""
+    return p.map_coefficients(
+        lambda c: c.constant_value() if c.is_constant() else c
+    )
+
+
+class TestMixedCoefficients:
+    """A constant t-polynomial and its rational value are the same
+    coefficient: lowering one to the other changes no result."""
+
+    @given(p=tower_polys, q=tower_polys)
+    def test_lowering_keeps_equality_product_and_text(self, p, q):
+        lp, lq = _lowered(p), _lowered(q)
+        assert lp == p and p == lp
+        assert (lp == lq) == (p == q)
+        assert lp * lq == p * q
+        assert lp * q == p * lq
+        assert format_poly(lp * lq) == format_poly(p * q)
+        assert format_poly(lp) == format_poly(p)
 
 
 class TestRoundTrip:

@@ -7,6 +7,7 @@ from conftest import nonzero_polys, polys, rationals
 from origami_covers.errors import InvalidInput, NotDivisible
 from origami_covers.poly import (
     NEG_INF,
+    TVAR,
     Poly,
     binomial,
     poly_gcd,
@@ -48,6 +49,52 @@ class TestBasics:
     def test_immutable(self):
         with pytest.raises(AttributeError):
             x.coeffs = ()
+
+
+class TestVariableRule:
+    def test_cross_variable_arithmetic_raises(self):
+        t = Poly.variable(TVAR)
+        for op in (lambda a, b: a + b, lambda a, b: a * b):
+            with pytest.raises(ValueError):
+                op(x, t)
+            with pytest.raises(ValueError):
+                op(t, x)
+
+    def test_cross_variable_constants_raise(self):
+        with pytest.raises(ValueError):
+            x + Poly.constant(1, var=TVAR)
+        with pytest.raises(ValueError):
+            Poly.constant(2, var=TVAR) * x
+
+    def test_cross_variable_equality_is_false(self):
+        assert Poly.variable("x") != Poly.variable("z")
+        assert not Poly.variable("x") == Poly.variable("z")
+        assert Poly.constant(1) != Poly.constant(1, var=TVAR)
+
+    def test_t_scalar_enters_as_constant(self):
+        c = Poly([1, 2], var=TVAR)
+        assert Poly.constant(c) * (x + 1) == Poly([c, c])
+
+
+class TestPower:
+    def test_no_squaring_after_last_bit(self, monkeypatch):
+        calls = []
+        mul = Poly.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(Poly, "__mul__", counting)
+        assert (x + 1) ** 4 == Poly([1, 4, 6, 4, 1])
+        assert len(calls) <= 3
+
+    @given(a=polys(max_size=3))
+    def test_matches_repeated_product(self, a):
+        expected = Poly.constant(1)
+        for n in range(7):
+            assert a**n == expected
+            expected = expected * a
 
 
 class TestGcd:
