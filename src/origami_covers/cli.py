@@ -14,13 +14,13 @@ import sys
 
 from . import __version__, degeneration, family, origami
 from .curves import (
-    cover_from_dict,
+    cover_from_json,
     cover_to_dict,
     pullback_invariant_differential,
     ramification_report,
     verify_cover_identity,
 )
-from .errors import OrigamiCoversError, ParseError, UnsupportedShape
+from .errors import OrigamiCoversError, UnsupportedShape
 from .parsing import format_poly, format_ratfunc
 from .poly import Poly
 from .selftest import run_selftest
@@ -138,17 +138,11 @@ def cmd_verify(args, parser) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
         return 2
     try:
-        doc = json.loads(text)
-        if not isinstance(doc, dict):
-            raise ParseError("cover document must be a JSON object")
-        inner = doc.get("cover", doc)
-        if not isinstance(inner, dict):
-            raise ParseError("field 'cover': must be a JSON object")
-        checks = _verify_checks(cover_from_dict(inner))
+        checks = _verify_checks(cover_from_json(text))
     except (OrigamiCoversError, ValueError) as exc:
         # Parse errors and covers the checks cannot be applied to (a zero
         # curve, a zero map component, a target of degree < 3).

@@ -13,7 +13,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidCover, InvalidCurve, ParseError, UnsupportedShape
-from .parsing import format_poly, format_ratfunc, parse_poly, parse_ratfunc
+from .parsing import (
+    MAX_PARSE_DEGREE,
+    format_poly,
+    format_ratfunc,
+    parse_poly,
+    parse_ratfunc,
+)
 from .poly import Poly, is_t_free, lower_from_tower, poly_gcd, substitute_t
 from .ratfunc import RatFunc
 
@@ -204,32 +210,48 @@ def cover_from_dict(doc: dict) -> Cover:
     for key in required:
         if key not in doc:
             raise ParseError(f"missing field {key!r}")
-    def _poly_field(key):
+    def _field(key, parse):
         try:
-            return parse_poly(doc[key])
-        except ParseError as exc:
-            raise ParseError(f"field {key!r}: {exc}") from exc
-    def _ratfunc_field(key):
-        try:
-            return parse_ratfunc(doc[key])
+            if not isinstance(doc[key], str):
+                raise ParseError("must be a string")
+            return parse(doc[key])
         except ParseError as exc:
             raise ParseError(f"field {key!r}: {exc}") from exc
     degree = doc["degree"]
     if not isinstance(degree, int) or degree < 1:
         raise ParseError("field 'degree': must be a positive integer")
+    source = HyperellipticCurve(_field("source_rhs", parse_poly))
+    target = HyperellipticCurve(_field("target_rhs", parse_poly))
+    f1 = _field("f1", parse_ratfunc)
+    # The cleared identity q(f1) has degree deg(q) * deg(f1); bound it before
+    # verify_cover_identity expands it.  Generated documents reach 3 * 127.
+    identity_degree = target.rhs.degree() * max(f1.num.degree(),
+                                                 f1.den.degree())
+    if identity_degree > 2 * MAX_PARSE_DEGREE:
+        raise ParseError(
+            f"fields 'target_rhs' and 'f1': identity degree {identity_degree}"
+            f" exceeds the limit {2 * MAX_PARSE_DEGREE}"
+        )
     return Cover(
-        source=HyperellipticCurve(_poly_field("source_rhs")),
-        target=HyperellipticCurve(_poly_field("target_rhs")),
-        map=CoverMap(f1=_ratfunc_field("f1"), f2=_ratfunc_field("f2")),
+        source=source,
+        target=target,
+        map=CoverMap(f1=f1, f2=_field("f2", parse_ratfunc)),
         degree=degree,
     )
 
 
 def cover_from_json(text: str) -> Cover:
+    """Read a cover document: the cover's fields, either at the top level or
+    under ``"cover"`` as in a ``generate`` document."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers JSONDecodeError and integer literals past
+        # CPython's digit limit; RecursionError, deeply nested arrays.
         raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("cover document must be a JSON object")
+    doc = doc.get("cover", doc)
+    if not isinstance(doc, dict):
+        raise ParseError("field 'cover': must be a JSON object")
     return cover_from_dict(doc)

@@ -7,8 +7,11 @@ with ``^`` restricted to nonnegative integer literal exponents.
 Input size is capped before any arithmetic runs: an exponent literal may not
 pass :data:`MAX_PARSE_DEGREE`, and neither may the degree of any numerator or
 denominator built while parsing (a part that involves ``t`` may have at most
-``MAX_PARSE_DEGREE + 1`` rational coefficients in all), so no text can make
-the parser run for long.  Breaking the cap raises :class:`ParseError`.
+``MAX_PARSE_DEGREE + 1`` rational coefficients in all).  Coefficients are
+capped at :data:`MAX_COEFF_BITS` bits: integer literals by their digit count,
+products and powers by a bound on their coefficients taken before multiplying.
+So no text can make the parser run for long.  Breaking a cap raises
+:class:`ParseError`.
 
 Printing a polynomial or rational function and parsing the result is the
 identity; the printer is the single source of the canonical text form used in
@@ -27,6 +30,10 @@ from .ratfunc import RatFunc
 # 512 is above the 3(g-1) = 189 that the denominator j^3 of f2 reaches at the
 # default --max-genus of 64, the largest degree a generated document holds.
 MAX_PARSE_DEGREE = 512
+# 4096 is above the 478 bits of the largest coefficient a generated document
+# holds (in j^3 at the default --max-genus of 64), and well below the ~14,000
+# bits at which CPython refuses to convert an int to or from decimal text.
+MAX_COEFF_BITS = 4096
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([-+*/^()]))")
 
@@ -42,6 +49,11 @@ def _tokenize(text: str):
                 break
             raise ParseError(f"unexpected character {rest[0]!r} at position {pos}")
         if m.group(1) is not None:
+            # d digits stay below 10^d < 2^(10d/3); checked before int() runs.
+            if 10 * len(m.group(1)) > 3 * MAX_COEFF_BITS:
+                raise ParseError(
+                    f"integer literal exceeds the limit {MAX_COEFF_BITS} bits"
+                )
             tokens.append(("int", int(m.group(1))))
         elif m.group(2) is not None:
             tokens.append(("name", m.group(2)))
@@ -60,23 +72,40 @@ def _shape(p: Poly):
     return max(p.degree(), 0), t_degree
 
 
-def _check_size(x_degree, t_degree):
+def _norm_bits(p: Poly) -> int:
+    """ceil(log2) of the sum of |coefficient| (all integers while parsing).
+
+    The sum bounds every coefficient, and a * b stays within _norm_bits(a) +
+    _norm_bits(b) bits, a^n within n * _norm_bits(a)."""
+    norm = sum(
+        abs(v.numerator)
+        for c in p.coeffs
+        for v in (c.coeffs if isinstance(c, Poly) else (c,))
+    )
+    return max(norm - 1, 0).bit_length()
+
+
+def _check_size(x_degree, t_degree, bits):
     if (x_degree + 1) * (t_degree + 1) > MAX_PARSE_DEGREE + 1:
         raise ParseError(
             f"expression exceeds the degree limit {MAX_PARSE_DEGREE}"
         )
+    if bits > MAX_COEFF_BITS:
+        raise ParseError(
+            f"coefficients exceed the limit {MAX_COEFF_BITS} bits"
+        )
 
 
 def _mul(a: Poly, b: Poly) -> Poly:
-    """a * b, refused before multiplying when the product breaks the cap."""
+    """a * b, refused before multiplying when the product breaks a cap."""
     (ax, at), (bx, bt) = _shape(a), _shape(b)
-    _check_size(ax + bx, at + bt)
+    _check_size(ax + bx, at + bt, _norm_bits(a) + _norm_bits(b))
     return a * b
 
 
 def _pow(a: Poly, n: int) -> Poly:
     ax, at = _shape(a)
-    _check_size(ax * n, at * n)
+    _check_size(ax * n, at * n, _norm_bits(a) * n)
     return a**n
 
 

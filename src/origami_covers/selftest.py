@@ -82,32 +82,30 @@ def _oracle_companions(g: int):
 # -- the individual criteria ----------------------------------------------
 
 
-def check_family_identity(max_genus: int):
+def check_family_identity(families, max_genus: int):
     for g in range(1, max_genus + 1):
-        inst = family.build_family(g)
-        if not verify_cover_identity(inst.cover):
+        if not verify_cover_identity(families[g].cover):
             return _result("family_cover_identity", False, f"failed at g={g}")
     return _result("family_cover_identity", True, f"g=1..{max_genus}")
 
 
-def check_pullback(max_genus: int):
+def check_pullback(families, max_genus: int):
     x = Poly.variable()
     for g in range(1, max_genus + 1):
-        inst = family.build_family(g)
-        lam = pullback_invariant_differential(inst.cover)
+        lam = pullback_invariant_differential(families[g].cover)
         if lam != (2 * g - 1) * x ** (g - 1):
             return _result("pullback_law", False, f"failed at g={g}")
     return _result("pullback_law", True, f"(2g-1)*x^(g-1) for g=1..{max_genus}")
 
 
-def check_reference_curves():
+def check_reference_curves(families):
     expected = {
         2: "x^5 + (1 + 9*t)*x^4 + 33*t*x^3 + 40*t*x^2 + 16*t*x",
         3: ("x^7 + (1 + 25*t)*x^6 + 225*t*x^5 + 760*t*x^4 + 1200*t*x^3"
             " + 896*t*x^2 + 256*t*x"),
     }
     for g, text in expected.items():
-        got = family.build_family(g).cover.source.rhs
+        got = families[g].cover.source.rhs
         if got != parse_poly(text):
             return _result(
                 "reference_curves", False,
@@ -116,7 +114,7 @@ def check_reference_curves():
     return _result("reference_curves", True, "g=2 and g=3 coefficients")
 
 
-def check_deformation(max_genus: int):
+def check_deformation(families, max_genus: int):
     report = degeneration.deformation_report(2)
     expected = {"a": 9, "b": 33, "c": 40, "d": 16, "e": 0, "f": 0, "g": 0}
     for name, value in expected.items():
@@ -130,7 +128,7 @@ def check_deformation(max_genus: int):
                        "g=2 exactness certificate failed")
     top = min(max_genus, 8)
     for g in range(2, top + 1):
-        if degeneration.deform(g) != family.build_family(g):
+        if degeneration.deform(g) != families[g]:
             return _result("deformation_rederivation", False,
                            f"deform({g}) != build_family({g})")
     return _result("deformation_rederivation", True,
@@ -177,11 +175,11 @@ def check_origami(max_genus: int):
                    f"staircases g=1..{top}, 100 relabelings per n in 3,5,7")
 
 
-def check_specializations(max_genus: int):
+def check_specializations(families, max_genus: int):
     top = min(max_genus, 8)
     x = Poly.variable()
     for g in range(2, top + 1):
-        source = family.build_family(g).cover.source
+        source = families[g].cover.source
         at0 = specialize_t(source, 0)
         if at0.rhs != x ** (2 * g) * (x + 1):
             return _result("degenerate_specializations", False,
@@ -198,13 +196,13 @@ def check_specializations(max_genus: int):
     return _result("degenerate_specializations", True, f"g=2..{top}")
 
 
-def check_fibre_at_one(max_genus: int):
+def check_fibre_at_one(families, max_genus: int):
     """At t = 1 the inner factor is x^(2g-1) + j^2 = (x+1) k^2, so the fibre
     is y^2 = x (x+1)^2 k^2, whose smooth model y^2 = x is rational."""
     top = min(max_genus, 8)
     x = Poly.variable()
     for g in range(2, top + 1):
-        inst = family.build_family(g)
+        inst = families[g]
         at1 = specialize_t(inst.cover.source, 1)
         if at1.rhs != x * (x + 1) ** 2 * inst.k * inst.k:
             return _result("fibre_at_one", False, f"t=1 curve wrong at g={g}")
@@ -254,15 +252,23 @@ def check_companion_oracle(max_genus: int):
 
 
 def run_selftest(max_genus: int = 12):
-    """Run every check; returns the list of :class:`CheckResult`."""
+    """Run every check; returns the list of :class:`CheckResult`.
+
+    Each family is built once per run, for g = 1..max(max_genus, 3) (the
+    reference curves need g = 3), and the checks that need a family read it
+    from that table.
+    """
+    families = {
+        g: family.build_family(g) for g in range(1, max(max_genus, 3) + 1)
+    }
     return [
-        check_family_identity(max_genus),
-        check_pullback(max_genus),
-        check_reference_curves(),
-        check_deformation(max_genus),
+        check_family_identity(families, max_genus),
+        check_pullback(families, max_genus),
+        check_reference_curves(families),
+        check_deformation(families, max_genus),
         check_origami(max_genus),
-        check_specializations(max_genus),
-        check_fibre_at_one(max_genus),
+        check_specializations(families, max_genus),
+        check_fibre_at_one(families, max_genus),
         check_two_branch_map(),
         check_companion_oracle(max_genus),
     ]

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from origami_covers import degeneration
+from origami_covers import degeneration, family
 from origami_covers.cli import main
 
 
@@ -88,10 +88,11 @@ class TestVerify:
 
     def test_malformed_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "cover.json"
-        path.write_text("{not json")
-        code, _, err = run(capsys, "verify", str(path))
-        assert code == 2
-        assert "error" in err
+        for content in (b"{not json", b"\xff{", b"[" * 100000):
+            path.write_bytes(content)
+            code, _, err = run(capsys, "verify", str(path))
+            assert code == 2
+            assert "error" in err
 
     def test_missing_field_exits_two(self, capsys, tmp_path):
         path = tmp_path / "cover.json"
@@ -105,7 +106,8 @@ class TestVerify:
         {"f1": "0", "f2": "0"},
         {"source_rhs": "x^4", "target_rhs": "x^2", "f1": "x^2", "f2": "1",
          "degree": 2},
-    ], ids=["zero-source", "zero-map", "low-degree-target"])
+        {"f2": 5},
+    ], ids=["zero-source", "zero-map", "low-degree-target", "non-string"])
     def test_uncheckable_cover_exits_two(self, capsys, tmp_path, fields):
         _, out, _ = run(capsys, "generate", "--genus", "2")
         doc = dict(json.loads(out)["cover"], **fields)
@@ -127,10 +129,16 @@ class TestVerify:
         assert checks["cover_identity"]
         assert not checks["degree"]
 
-    @pytest.mark.parametrize("source", ["x^999999999", "(x^400)^400"])
-    def test_oversized_input_refused_quickly(self, capsys, tmp_path, source):
+    @pytest.mark.parametrize("fields", [
+        {"source_rhs": "x^999999999"},
+        {"source_rhs": "(x^400)^400"},
+        {"source_rhs": "((2^512)^512)^512*x^5 + x"},
+        {"target_rhs": "x^200 + x", "f1": "(x^200+1)/(x^199+2)"},
+    ], ids=["x^999999999", "(x^400)^400", "coefficient-size",
+            "identity-degree"])
+    def test_oversized_input_refused_quickly(self, capsys, tmp_path, fields):
         _, out, _ = run(capsys, "generate", "--genus", "2")
-        doc = dict(json.loads(out)["cover"], source_rhs=source)
+        doc = dict(json.loads(out)["cover"], **fields)
         path = tmp_path / "cover.json"
         path.write_text(json.dumps(doc))
         start = time.perf_counter()
@@ -202,6 +210,16 @@ class TestSelftest:
         assert len(fails) == 1
         assert "degenerate_specializations" in fails[0]
         assert code == 1
+
+    def test_each_family_built_once(self, capsys, monkeypatch):
+        built = []
+
+        def counted(g, _build=family.build_family):
+            built.append(g)
+            return _build(g)
+        monkeypatch.setattr(family, "build_family", counted)
+        run(capsys, "selftest", "--max-genus", "3")
+        assert sorted(built) == [1, 2, 3]
 
 
 class TestUsage:

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from conftest import polys, rationals
 from origami_covers.errors import ParseError
+from origami_covers.family import j_poly
 from origami_covers.parsing import (
+    MAX_COEFF_BITS,
     MAX_PARSE_DEGREE,
     format_poly,
     format_ratfunc,
@@ -76,10 +78,18 @@ class TestDegreeCap:
         "(x + t)^300",
         "(t^400)^400",
         f"1/x^{MAX_PARSE_DEGREE + 1}",
+        pytest.param("((2^512)^512)^512*x^5 + x", id="coefficient-power"),
+        pytest.param("(2^512*x)^4 * (2^512*x)^5", id="coefficient-product"),
+        pytest.param("9" * (MAX_COEFF_BITS * 3 // 10 + 1), id="long-literal"),
     ])
     def test_over_the_cap_is_refused(self, text):
         with pytest.raises(ParseError, match="limit"):
             parse_poly(text)
+
+    def test_largest_generated_coefficients_parse_back(self):
+        # j^3 at the default --max-genus of 64 holds 478-bit coefficients.
+        p = j_poly(64) ** 3
+        assert parse_poly(format_poly(p)) == p
 
 
 class TestParseRatFunc:
