@@ -116,8 +116,7 @@ def _verify_checks(cover) -> list:
     f1 = cover.map.f1
     map_degree = max(f1.num.degree(), f1.den.degree())
     checks = [
-        _check("cover_identity", identity.ok,
-               "" if identity.ok else f"lhs {identity.lhs} != rhs {identity.rhs}"),
+        _check("cover_identity", identity.ok, identity.witness),
         _check("degree", cover.degree == map_degree,
                f"declared {cover.degree}, f1 has degree {map_degree}"),
     ]

@@ -1,9 +1,10 @@
 """Hyperelliptic curves y^2 = p(x), covers (x,y) -> (f1(x), f2(x)*y), and the
 certification of their ramification via the pulled-back invariant differential.
 
-Curves live either over Q (rational coefficients) or over Q[t] (coefficients
-polynomial in the parameter t); the cover maps themselves always have rational
-coefficients, matching the parameter-independence of the family.
+A curve's right-hand side is a :class:`~origami_covers.poly.Poly` over Q or a
+:class:`~origami_covers.poly.TPoly` over Q[t]; the cover maps themselves
+always have rational coefficients, matching the parameter-independence of
+the family.  Identities over Q[t] are checked one power of t at a time.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import InvalidCover, InvalidCurve, ParseError, UnsupportedShape
 from .parsing import (
@@ -20,7 +22,7 @@ from .parsing import (
     parse_poly,
     parse_ratfunc,
 )
-from .poly import Poly, is_t_free, lower_from_tower, poly_gcd, substitute_t
+from .poly import Poly, poly_gcd
 from .ratfunc import RatFunc
 
 
@@ -35,7 +37,7 @@ class HyperellipticCurve:
             raise InvalidCurve("curve right-hand side must be nonzero")
 
     def is_over_q(self) -> bool:
-        return is_t_free(self.rhs)
+        return len(self.rhs.parts) <= 1
 
     def __eq__(self, other):
         if not isinstance(other, HyperellipticCurve):
@@ -61,11 +63,11 @@ class Cover:
 
 @dataclass(frozen=True)
 class CoverCertificate:
-    """Result of the formal cover-identity check, with printable witnesses."""
+    """Result of the formal cover-identity check; ``witness`` names the first
+    differing coefficient, and is empty when the identity holds."""
 
     ok: bool
-    lhs: str
-    rhs: str
+    witness: str
 
     def __bool__(self):
         return self.ok
@@ -99,7 +101,7 @@ def genus_geometric(curve: HyperellipticCurve) -> int:
     """
     if not curve.is_over_q():
         raise InvalidCurve("geometric genus requires a curve over Q")
-    a = lower_from_tower(curve.rhs)
+    a = curve.rhs.parts[0]
     deg, sign = 0, 1
     while a.degree() > 0:
         nxt = poly_gcd(a, a.derivative())
@@ -109,17 +111,20 @@ def genus_geometric(curve: HyperellipticCurve) -> int:
 
 
 def specialize_t(curve: HyperellipticCurve, value) -> HyperellipticCurve:
-    """Substitute t := value into every coefficient."""
-    return HyperellipticCurve(substitute_t(curve.rhs, value))
+    """Substitute t := value, by Horner's rule over the t-parts."""
+    rhs = Poly([], var=curve.rhs.var)
+    for part in reversed(curve.rhs.parts):
+        rhs = rhs * value + part
+    return HyperellipticCurve(rhs)
 
 
 def verify_cover_identity(cover: Cover) -> CoverCertificate:
-    """Check f2(x)^2 * p(x) = q(f1(x)) as a formal identity.
+    """Check f2(x)^2 * p(x) = q(f1(x)) as a formal identity over Q[t].
 
-    p is the source right-hand side and q the target right-hand side; the
-    check clears all denominators and compares two polynomials in Q[t][x].
-    The map's parts stay in Q[x]; a coefficient of q, rational or in Q[t],
-    enters the x-arithmetic as the constant polynomial ``Poly.constant(c)``.
+    p is the source right-hand side and q the target right-hand side.  With
+    f1 = a/b, f2 = n/d and m = deg q, clearing denominators gives
+    p n^2 b^m = d^2 sum_i q_i a^i b^(m-i); both sides are compared one power
+    of t at a time, with each a^i b^(m-i) computed once for all of them.
     """
     p = cover.source.rhs
     q = cover.target.rhs
@@ -127,19 +132,19 @@ def verify_cover_identity(cover: Cover) -> CoverCertificate:
     n, d = cover.map.f2.num, cover.map.f2.den
     m = int(q.degree())
     # q(f1) with f1 = a/b has denominator b^m after clearing.
-    q_of_f1 = Poly([], var=p.var)
-    for i in range(m + 1):
-        c = q.coefficient(i)
-        if c:
-            term = a**i * b ** (m - i)
-            q_of_f1 = q_of_f1 + Poly.constant(c, var=p.var) * term
-    lhs = p * (n * n * b**m)
-    rhs = q_of_f1 * (d * d)
-    return CoverCertificate(
-        ok=(lhs - rhs) == 0,
-        lhs=format_poly(lhs),
-        rhs=format_poly(rhs),
-    )
+    terms = {i: a**i * b ** (m - i) for i in range(m + 1)
+             if any(part.coefficient(i) for part in q.parts)}
+    cleared, d_sq = n * n * b**m, d * d
+    zero = Poly([], var=p.var)
+    parts = zip_longest(p.parts, q.parts, fillvalue=zero)
+    for k, (p_k, q_k) in enumerate(parts):
+        q_of_f1 = sum((c * terms[i] for i, c in enumerate(q_k.coeffs) if c),
+                      zero)
+        diff = p_k * cleared - q_of_f1 * d_sq
+        if diff:
+            witness = f"coefficient of t^{k}*{p.var}^{diff.degree()} differs"
+            return CoverCertificate(ok=False, witness=witness)
+    return CoverCertificate(ok=True, witness="")
 
 
 def pullback_invariant_differential(cover: Cover) -> RatFunc:

@@ -12,7 +12,6 @@ then produces the smooth family, whose validity is re-certified exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .curves import (
     Cover,
@@ -28,8 +27,8 @@ from .errors import (
     PipelineError,
 )
 from .family import FamilyInstance, legendre_curve
-from .linalg import LinearSolution, LinearSystem, solve_exact
-from .poly import Poly, t_linear
+from .linalg import LinearSystem, solve_exact
+from .poly import Poly, TPoly
 from .ratfunc import RatFunc
 
 UVAR = "u"
@@ -195,47 +194,47 @@ def deformation_ansatz(g: int) -> DeformationAnsatz:
     )
 
 
-def _perturbed_source(g: int, values: dict) -> Poly:
+def _perturbed_source(g: int, values: dict) -> TPoly:
     """The source x^(2g+1) + (1 + a_1 t) x^(2g) + a_2 t x^(2g-1) + ... +
     a_2g t x over Q[t], for a numeric assignment of the curve unknowns."""
-    coeffs = [0] * (2 * g + 2)
-    coeffs[2 * g + 1] = 1
-    for i, name in enumerate(deformation_ansatz(g).curve_unknowns, start=1):
-        coeffs[2 * g + 1 - i] = t_linear(1 if i == 1 else 0, values[name])
-    return Poly(coeffs)
+    names = deformation_ansatz(g).curve_unknowns
+    return TPoly([degenerate_source_rhs(g),
+                  Poly([0] + [values[name] for name in reversed(names)])])
 
 
-def assemble_deformation_system(g: int) -> LinearSystem:
+def assemble_deformation_system(g: int, maps=None) -> LinearSystem:
     """Equate each t*x^i coefficient of the perturbed identity to zero.
 
     The cleared identity is x^(2g-2) N^2 S = X (X + D^2) (X + t D^2) with
     X = x^(2g-1), S0 = x^(2g+1) + x^(2g), source S = S0 + t sum a_i
     x^(2g+1-i), numerator factor N = A + t sum n_d x^d and denominator
-    D = B + t sum e_d x^d, where A, B come from :func:`_map_polys`.  Its t^1
-    coefficient is affine in the unknowns, so the system is written down in
-    closed form: the column of a_i is x^(2g-2) A^2 x^(2g+1-i), that of e_d
-    is -2 X^2 B x^d, that of n_d is 2 x^(2g-2) A S0 x^d, and the right-hand
+    D = B + t sum e_d x^d, where A, B come from :func:`_map_polys` (or
+    ``maps``, when the caller has them).  Its t^1 coefficient is affine in
+    the unknowns, so the system is written down in closed form: the column
+    of a_i is x^(2g-2) A^2 shifted by 2g+1-i, that of e_d is -2 X^2 B shifted
+    by d, that of n_d is 2 x^(2g-2) A S0 shifted by d, and the right-hand
     side is X (X + B^2) B^2.
     """
     _check_genus(g)
-    a, b = _map_polys(g)
+    a, b = maps or _map_polys(g)
     x = Poly.variable()
     big_x = x ** (2 * g - 1)
     lead = x ** (2 * g - 2)
     source = degenerate_source_rhs(g)
-    a_sq, b_sq = a * a, b * b
-    if lead * a_sq * source != big_x * big_x * (big_x + b_sq):
+    lead_a_sq, b_sq = lead * a * a, b * b
+    if lead_a_sq * source != big_x * big_x * (big_x + b_sq):
         raise PipelineError(
             f"degenerate cover identity broke at order t^0 at genus {g}"
         )
-    # Column order follows deformation_ansatz: a_1..a_2g, e_(g-1)..e_0,
-    # n_(g-2)..n_0.
-    columns = [lead * a_sq * x ** (2 * g + 1 - i) for i in range(1, 2 * g + 1)]
-    columns += [-2 * big_x * big_x * b * x**d for d in range(g - 1, -1, -1)]
-    columns += [2 * lead * a * source * x**d for d in range(g - 2, -1, -1)]
+    # (base, shift) per column, in deformation_ansatz order: a_1..a_2g,
+    # e_(g-1)..e_0, n_(g-2)..n_0.
+    columns = [(lead_a_sq, s) for s in range(2 * g, 0, -1)]
+    columns += [(-2 * big_x * big_x * b, d) for d in range(g - 1, -1, -1)]
+    columns += [(2 * lead * a * source, d) for d in range(g - 2, -1, -1)]
     rhs = big_x * (big_x + b_sq) * b_sq
-    n_rows = max(int(p.degree()) for p in columns + [rhs]) + 1
-    matrix = [[col.coefficient(i) for col in columns] for i in range(n_rows)]
+    n_rows = max(int(p.degree()) + s for p, s in columns + [(rhs, 0)]) + 1
+    matrix = [[p.coefficient(i - s) for p, s in columns]
+              for i in range(n_rows)]
     return LinearSystem(matrix, [rhs.coefficient(i) for i in range(n_rows)])
 
 
@@ -254,37 +253,24 @@ class DeformationReport:
         return self.instance is not None
 
 
-def solve_deformation(g: int):
+def solve_deformation(g: int, maps=None):
     """Solve the order-t system; returns (ansatz, system, LinearSolution).
 
-    When the solution space allows it, the representative with every map
-    perturbation equal to zero is preferred: the map of the smooth family is
-    expected to coincide with the degenerate map.  It is found by solving on
-    the curve columns alone and appending zeros for the map unknowns.  The
-    reported nullity and rank are those of the unpinned system.
+    The representative with every map perturbation equal to zero is the one
+    wanted, when the system allows it: the map of the smooth family is
+    expected to coincide with the degenerate map.  One solve finds it.
+    :func:`solve_exact` sets free unknowns to zero and picks pivots left to
+    right, and the curve columns come first and are independent (shifts of
+    one nonzero polynomial), so each becomes a pivot; when the curve columns
+    alone reach the right-hand side, the solution with every free unknown at
+    zero has every map unknown at zero too.
     """
     ansatz = deformation_ansatz(g)
-    system = assemble_deformation_system(g)
-    outcome = solve_exact(system)
-    n_curve = len(ansatz.curve_unknowns)
-    if outcome.consistent and outcome.nullity > 0 and ansatz.map_unknowns:
-        curve_only = LinearSystem(
-            [row[:n_curve] for row in system.matrix], system.rhs
-        )
-        pinned = solve_exact(curve_only)
-        if pinned.consistent:
-            zeros = (Fraction(0),) * len(ansatz.map_unknowns)
-            outcome = LinearSolution(
-                consistent=True,
-                solution=pinned.solution + zeros,
-                nullity=outcome.nullity,
-                rank=outcome.rank,
-                free_columns=outcome.free_columns,
-            )
-    return ansatz, system, outcome
+    system = assemble_deformation_system(g, maps)
+    return ansatz, system, solve_exact(system)
 
 
-def deform(g: int, solution: dict | None = None) -> FamilyInstance:
+def deform(g: int, solution: dict | None = None, maps=None) -> FamilyInstance:
     """Globalize the first-order solution and certify it exactly.
 
     The candidate curve takes the solved coefficients; the map is kept at its
@@ -292,12 +278,13 @@ def deform(g: int, solution: dict | None = None) -> FamilyInstance:
     cover identity, not just at order t.
     """
     _check_genus(g)
+    maps = maps or _map_polys(g)
     if solution is None:
-        ansatz, _, outcome = solve_deformation(g)
+        ansatz, _, outcome = solve_deformation(g, maps)
         if not outcome.consistent:
             raise DeformationFailed(f"order-t system inconsistent at genus {g}")
         solution = dict(zip(ansatz.unknowns, outcome.solution))
-    a_poly, b_poly = _map_polys(g)
+    a_poly, b_poly = maps
     x = Poly.variable()
     f1 = RatFunc(x ** (2 * g - 1), b_poly * b_poly)
     f2 = RatFunc(x ** (g - 1) * a_poly, b_poly**3)
@@ -316,12 +303,14 @@ def deform(g: int, solution: dict | None = None) -> FamilyInstance:
 
 def deformation_report(g: int) -> DeformationReport:
     """Full pipeline summary for machine-readable output."""
-    ansatz, system, outcome = solve_deformation(g)
+    _check_genus(g)
+    maps = _map_polys(g)
+    ansatz, system, outcome = solve_deformation(g, maps)
     if not outcome.consistent:
         raise DeformationFailed(f"order-t system inconsistent at genus {g}")
     solution = dict(zip(ansatz.unknowns, outcome.solution))
     try:
-        instance = deform(g, solution=solution)
+        instance = deform(g, solution=solution, maps=maps)
     except FirstOrderOnly:
         instance = None
     return DeformationReport(

@@ -21,7 +21,7 @@ from .curves import (
     verify_cover_identity,
 )
 from .errors import InvalidGenus, PipelineError
-from .poly import TVAR, Poly, binomial
+from .poly import Poly, TPoly, binomial
 from .ratfunc import RatFunc
 
 
@@ -87,8 +87,8 @@ def companion_identities(g: int) -> CompanionCertificate:
 def legendre_curve() -> HyperellipticCurve:
     """E_t : y^2 = x (x+1) (x+t) over Q[t], expanded."""
     x = Poly.variable()
-    x_plus_t = Poly([Poly([0, 1], var=TVAR), 1])
-    return HyperellipticCurve(x * (x + 1) * x_plus_t)
+    x_x1 = x * (x + 1)
+    return HyperellipticCurve(TPoly([x_x1 * x, x_x1]))
 
 
 def family_source_curve(g: int) -> HyperellipticCurve:
@@ -96,8 +96,8 @@ def family_source_curve(g: int) -> HyperellipticCurve:
     _check_genus(g)
     j = j_poly(g)
     x = Poly.variable()
-    t_j_sq = (j * j).map_coefficients(lambda c: Poly([0, c], var=TVAR))
-    return HyperellipticCurve(x * (x + 1) * (x ** (2 * g - 1) + t_j_sq))
+    x_x1 = x * (x + 1)
+    return HyperellipticCurve(TPoly([x_x1 * x ** (2 * g - 1), x_x1 * j * j]))
 
 
 def build_family(g: int) -> FamilyInstance:

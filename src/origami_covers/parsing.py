@@ -13,6 +13,10 @@ products and powers by a bound on their coefficients taken before multiplying.
 So no text can make the parser run for long.  Breaking a cap raises
 :class:`ParseError`.
 
+Expressions are built as quotients of :class:`~origami_covers.poly.TPoly`
+values, so ``t`` is one more part rather than a coefficient type; text without
+``t`` parses to a plain :class:`~origami_covers.poly.Poly`.
+
 Printing a polynomial or rational function and parsing the result is the
 identity; the printer is the single source of the canonical text form used in
 the JSON interchange documents.
@@ -24,7 +28,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import Poly, TVAR, is_t_free, lower_from_tower
+from .poly import Poly, TPoly, TVAR
 from .ratfunc import RatFunc
 
 # 512 is above the 3(g-1) = 189 that the denominator j^3 of f2 reaches at the
@@ -64,24 +68,17 @@ def _tokenize(text: str):
     return tokens
 
 
-def _shape(p: Poly):
+def _shape(p: TPoly):
     """(degree in the main variable, degree in t), each at least 0."""
-    t_degree = max(
-        (c.degree() for c in p.coeffs if isinstance(c, Poly) and c), default=0
-    )
-    return max(p.degree(), 0), t_degree
+    return max(p.degree(), 0), max(len(p.parts) - 1, 0)
 
 
-def _norm_bits(p: Poly) -> int:
+def _norm_bits(p: TPoly) -> int:
     """ceil(log2) of the sum of |coefficient| (all integers while parsing).
 
     The sum bounds every coefficient, and a * b stays within _norm_bits(a) +
     _norm_bits(b) bits, a^n within n * _norm_bits(a)."""
-    norm = sum(
-        abs(v.numerator)
-        for c in p.coeffs
-        for v in (c.coeffs if isinstance(c, Poly) else (c,))
-    )
+    norm = sum(abs(c.numerator) for part in p.parts for c in part.coeffs)
     return max(norm - 1, 0).bit_length()
 
 
@@ -96,21 +93,21 @@ def _check_size(x_degree, t_degree, bits):
         )
 
 
-def _mul(a: Poly, b: Poly) -> Poly:
+def _mul(a: TPoly, b: TPoly) -> TPoly:
     """a * b, refused before multiplying when the product breaks a cap."""
     (ax, at), (bx, bt) = _shape(a), _shape(b)
     _check_size(ax + bx, at + bt, _norm_bits(a) + _norm_bits(b))
     return a * b
 
 
-def _pow(a: Poly, n: int) -> Poly:
+def _pow(a: TPoly, n: int) -> TPoly:
     ax, at = _shape(a)
     _check_size(ax * n, at * n, _norm_bits(a) * n)
     return a**n
 
 
 class _Expr:
-    """A quotient of two polynomials over Q or Q[t] built up during parsing."""
+    """A quotient of two polynomials in Q[t][x] built up during parsing."""
 
     __slots__ = ("num", "den")
 
@@ -217,20 +214,22 @@ class _Parser:
 
     def atom(self) -> _Expr:
         kind, value = self.next()
-        one = Poly.constant(1, var=self.var)
         if kind == "int":
-            return _Expr(Poly.constant(value, var=self.var), one)
-        if kind == "name":
-            if value == self.var:
-                return _Expr(Poly.variable(self.var), one)
-            if value == TVAR:
-                return _Expr(Poly([Poly([0, 1], var=TVAR)], var=self.var), one)
+            parts = [Poly.constant(value, var=self.var)]
+        elif kind == "name" and value == self.var:
+            parts = [Poly.variable(self.var)]
+        elif kind == "name" and value == TVAR:
+            parts = [Poly([], var=self.var), Poly.constant(1, var=self.var)]
+        elif kind == "name":
             raise ParseError(f"unknown variable {value!r}")
-        if kind == "op" and value == "(":
+        elif kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
             return inner
-        raise ParseError(f"unexpected token {value!r}")
+        else:
+            raise ParseError(f"unexpected token {value!r}")
+        one = TPoly([Poly.constant(1, var=self.var)], var=self.var)
+        return _Expr(TPoly(parts, var=self.var), one)
 
 
 def parse_expression(text: str, var: str = "x") -> _Expr:
@@ -239,30 +238,29 @@ def parse_expression(text: str, var: str = "x") -> _Expr:
     return _Parser(_tokenize(text), var).parse()
 
 
-def parse_poly(text: str, var: str = "x") -> Poly:
+def parse_poly(text: str, var: str = "x"):
     """Parse a polynomial over Q or Q[t].
 
-    Returns a plain rational-coefficient polynomial when the text does not
-    mention ``t``; otherwise the coefficients are rationals or polynomials
-    in ``t``.
+    Returns a plain :class:`Poly` when the text does not depend on ``t``;
+    otherwise a :class:`TPoly`.
     """
     expr = parse_expression(text, var)
     den = expr.den
-    if den.degree() > 0 or not is_t_free(den):
+    if den.degree() > 0 or len(den.parts) > 1:
         raise ParseError("expression is not a polynomial")
-    scale = lower_from_tower(den).constant_value()
-    num = expr.num * (1 / scale)
-    if is_t_free(num):
-        return lower_from_tower(num)
-    return num
+    num = expr.num * (1 / den.parts[0].constant_value())
+    if len(num.parts) > 1:
+        return num
+    return num.parts[0] if num else Poly([], var=var)
 
 
 def parse_ratfunc(text: str, var: str = "x") -> RatFunc:
     """Parse a rational function with coefficients in Q (no ``t``)."""
     expr = parse_expression(text, var)
-    if not is_t_free(expr.num) or not is_t_free(expr.den):
+    if len(expr.num.parts) > 1 or len(expr.den.parts) > 1:
         raise ParseError("rational functions may not involve t")
-    return RatFunc(lower_from_tower(expr.num), lower_from_tower(expr.den))
+    return RatFunc(expr.num.parts[0] if expr.num else Poly([], var=var),
+                   expr.den.parts[0])
 
 
 # -- printing --------------------------------------------------------------
@@ -272,23 +270,16 @@ def _format_scalar(c: Fraction) -> str:
     return str(c)
 
 
-def format_tpoly(p: Poly) -> str:
-    """Print a polynomial in t, lowest-degree term first."""
-    if not p:
-        return "0"
-    pieces = []
-    for e, c in enumerate(p.coeffs):
-        if not c:
-            continue
-        sign = "-" if c < 0 else "+"
-        c = abs(c)
-        if e == 0:
-            body = _format_scalar(c)
-        else:
-            tpart = "t" if e == 1 else f"t^{e}"
-            body = tpart if c == 1 else f"{_format_scalar(c)}*{tpart}"
-        pieces.append((sign, body))
-    return _join_terms(pieces)
+def _power_text(var: str, e: int) -> str:
+    return "" if e == 0 else (var if e == 1 else f"{var}^{e}")
+
+
+def _term(c: Fraction, *powers) -> tuple:
+    """(sign, body) of the term c times the nonempty ``powers`` texts."""
+    factors = [f for f in powers if f]
+    if abs(c) != 1 or not factors:
+        factors.insert(0, _format_scalar(abs(c)))
+    return "-" if c < 0 else "+", "*".join(factors)
 
 
 def _join_terms(pieces) -> str:
@@ -299,55 +290,34 @@ def _join_terms(pieces) -> str:
     return out
 
 
-def _term_count(c) -> int:
-    if isinstance(c, Poly):
-        return sum(1 for v in c.coeffs if v)
-    return 1
+def format_tpoly(p: Poly) -> str:
+    """Print a polynomial in t, lowest-degree term first."""
+    if not p:
+        return "0"
+    return _join_terms([_term(c, _power_text(p.var, e))
+                        for e, c in enumerate(p.coeffs) if c])
 
 
-def format_poly(p: Poly) -> str:
-    """Print a polynomial in the main variable, highest-degree term first.
+def format_poly(p) -> str:
+    """Print a :class:`Poly` or :class:`TPoly`, highest power of the main
+    variable first.
 
-    Coefficients may be rationals or polynomials in ``t``; multi-term
-    t-coefficients are parenthesized, e.g. ``(1 + 9*t)*x^4``.
+    Each power's coefficient is a polynomial in ``t``; one with several
+    terms is parenthesized, e.g. ``(1 + 9*t)*x^4``.
     """
     if not p:
         return "0"
     pieces = []
     for e in range(p.degree(), -1, -1):
-        c = p.coefficient(e)
-        if not c:
-            continue
-        xpart = "" if e == 0 else ("x" if e == 1 else f"x^{e}")
-        xpart = xpart.replace("x", p.var)
-        if isinstance(c, Poly) and not c.is_constant():
-            if _term_count(c) == 1:
-                k = c.degree()
-                ck = c.coefficient(k)
-                sign = "-" if ck < 0 else "+"
-                ck = abs(ck)
-                tpart = "t" if k == 1 else f"t^{k}"
-                factors = []
-                if ck != 1:
-                    factors.append(_format_scalar(ck))
-                factors.append(tpart)
-                if xpart:
-                    factors.append(xpart)
-                pieces.append((sign, "*".join(factors)))
-            else:
-                body = f"({format_tpoly(c)})"
-                pieces.append(("+", f"{body}*{xpart}" if xpart else body))
-            continue
-        scalar = c.constant_value() if isinstance(c, Poly) else c
-        sign = "-" if scalar < 0 else "+"
-        scalar = abs(scalar)
-        if not xpart:
-            body = _format_scalar(scalar)
-        elif scalar == 1:
-            body = xpart
-        else:
-            body = f"{_format_scalar(scalar)}*{xpart}"
-        pieces.append((sign, body))
+        c = Poly([part.coefficient(e) for part in p.parts], var=TVAR)
+        xpart = _power_text(p.var, e)
+        terms = [(k, v) for k, v in enumerate(c.coeffs) if v]
+        if len(terms) > 1:
+            body = f"({format_tpoly(c)})"
+            pieces.append(("+", f"{body}*{xpart}" if xpart else body))
+        elif terms:
+            (k, v), = terms
+            pieces.append(_term(v, _power_text(TVAR, k), xpart))
     return _join_terms(pieces)
 
 

@@ -1,20 +1,22 @@
-"""Dense univariate polynomials with exact coefficients.
+"""Dense univariate polynomials over Q, and polynomials over Q[t] by parts.
 
-Coefficients are :class:`fractions.Fraction` or :class:`Poly` instances in
-the parameter ``t``, and both kinds may sit in the same coefficient list; a
-polynomial in ``x`` over Q is the special case where no coefficient involves
-``t``, and one over Q[t] is the tower Q[t][x].  Two polynomials combine only
-when they share a variable; anything else raises :class:`ValueError`.  A
-Q[t] scalar enters an x-polynomial as ``Poly.constant(c, var=p.var)``.
+A :class:`Poly` holds :class:`fractions.Fraction` coefficients only, lowest
+degree first; the leading stored coefficient is always nonzero (the zero
+polynomial has an empty coefficient list).  Two polynomials combine only when
+they share a variable; anything else raises :class:`ValueError`.
 
-Coefficients are stored lowest degree first; the leading stored coefficient is
-always nonzero (the zero polynomial has an empty coefficient list).
+A polynomial in Q[t][x] is a :class:`TPoly`: its ``parts[k]`` is the Q[x]
+polynomial that multiplies t^k, so an identity over Q[t] holds exactly when
+it holds part by part.  A ``Poly`` is the ``TPoly`` with the one part
+``(p,)`` and exposes that view as ``p.parts``, so the two mix in arithmetic
+and equality.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 
 from .errors import InvalidInput, NotDivisible
 
@@ -34,8 +36,6 @@ def binomial(n: int, k: int) -> int:
 
 
 def _coerce(c):
-    if isinstance(c, Poly):
-        return c
     if isinstance(c, Fraction):
         return c
     if isinstance(c, int):
@@ -43,16 +43,18 @@ def _coerce(c):
     raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
-def _coeff_quotient(a, b):
-    # Exact division in the coefficient ring: true division for Fractions,
-    # exact polynomial division for Poly coefficients.
-    if isinstance(a, Poly) or isinstance(b, Poly):
-        if not isinstance(a, Poly):
-            a = Poly([a], var=b.var)
-        if not isinstance(b, Poly):
-            b = Poly([b], var=a.var)
-        return a.exact_div(b)
-    return a / b
+def _power(base, n: int, one):
+    """base**n by square-and-multiply, squaring only while bits remain."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
 
 
 class Poly:
@@ -109,6 +111,11 @@ class Poly:
             raise ValueError("polynomial is not constant")
         return self.coeffs[0]
 
+    @property
+    def parts(self) -> tuple:
+        """This polynomial as a :class:`TPoly`'s parts: itself at t^0."""
+        return (self,) if self.coeffs else ()
+
     def __bool__(self):
         return bool(self.coeffs)
 
@@ -163,27 +170,18 @@ class Poly:
         self._check_var(other)
         if not self.coeffs or not other.coeffs:
             return Poly([], var=self.var)
-        out = [None] * (len(self.coeffs) + len(other.coeffs) - 1)
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                p = a * b
-                out[i + j] = p if out[i + j] is None else out[i + j] + p
+            if a:
+                for j, b in nonzero:
+                    out[i + j] += a * b
         return Poly(out, var=self.var)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Poly.constant(1, var=self.var)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _power(self, n, Poly.constant(1, var=self.var))
 
     def __divmod__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -200,7 +198,7 @@ class Poly:
                 rem.pop()
             if len(rem) < dlen:
                 break
-            factor = _coeff_quotient(rem[-1], dlead)
+            factor = rem[-1] / dlead
             shift = len(rem) - dlen
             quo[shift] = factor
             for i, c in enumerate(other.coeffs):
@@ -238,9 +236,6 @@ class Poly:
             r = Poly.constant(r, var=other.var if isinstance(other, Poly) else self.var)
         return r
 
-    def map_coefficients(self, fn, var=None) -> "Poly":
-        return Poly([fn(c) for c in self.coeffs], var=self.var if var is None else var)
-
     # -- field-coefficient normal forms -----------------------------------
 
     def monic(self) -> "Poly":
@@ -259,9 +254,6 @@ class Poly:
         """
         if not self.coeffs:
             return Fraction(0), self
-        for c in self.coeffs:
-            if not isinstance(c, Fraction):
-                raise TypeError("content requires rational coefficients")
         den_lcm = 1
         for c in self.coeffs:
             den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
@@ -295,38 +287,83 @@ def squarefree_part(a: Poly) -> Poly:
     return a.exact_div(poly_gcd(a, d)).monic()
 
 
-# -- the Q[t][x] tower -----------------------------------------------------
+# -- Q[t][x] by powers of t ------------------------------------------------
 
 
-def t_constant(c) -> Poly:
-    """A rational constant as a polynomial in t."""
-    return Poly.constant(c, var=TVAR)
+def _as_tpoly(value, var):
+    if isinstance(value, (int, Fraction)):
+        value = Poly.constant(value, var=var)
+    if isinstance(value, Poly):
+        return TPoly(value.parts, var=value.var)
+    return value if isinstance(value, TPoly) else None
 
 
-def t_linear(c0, c1) -> Poly:
-    """The polynomial c0 + c1*t."""
-    return Poly([c0, c1], var=TVAR)
+class TPoly:
+    """Immutable polynomial in Q[t][x]: ``parts[k]`` multiplies t^k.
 
+    The last stored part is always nonzero (zero has no parts), so two
+    equal polynomials have equal parts.
+    """
 
-def is_t_free(p: Poly) -> bool:
-    """True when no coefficient involves t."""
-    return all(not isinstance(c, Poly) or c.is_constant() for c in p.coeffs)
+    __slots__ = ("parts", "var")
 
+    def __init__(self, parts=(), var=XVAR):
+        ps = list(parts)
+        while ps and not ps[-1]:
+            ps.pop()
+        object.__setattr__(self, "parts", tuple(ps))
+        object.__setattr__(self, "var", var)
 
-def lower_from_tower(p: Poly) -> Poly:
-    """The t-free polynomial p with every coefficient a rational."""
-    if not is_t_free(p):
-        raise ValueError("polynomial depends on t")
-    return p.map_coefficients(
-        lambda c: c.constant_value() if isinstance(c, Poly) else c
-    )
+    def __setattr__(self, *args):
+        raise AttributeError("TPoly is immutable")
 
+    def degree(self):
+        """Degree in the main variable; -inf sentinel for zero."""
+        return max((p.degree() for p in self.parts), default=NEG_INF)
 
-def substitute_t(p: Poly, value) -> Poly:
-    """Evaluate every t-coefficient of ``p`` at ``value``."""
-    value = _coerce(value)
+    def __bool__(self):
+        return bool(self.parts)
 
-    def ev(c):
-        return c(value) if isinstance(c, Poly) else c
+    def __eq__(self, other):
+        other = _as_tpoly(other, self.var)
+        if other is None:
+            return NotImplemented
+        return self.var == other.var and self.parts == other.parts
 
-    return p.map_coefficients(ev)
+    __hash__ = None
+
+    def __repr__(self):
+        return f"TPoly({list(self.parts)!r}, var={self.var!r})"
+
+    def __add__(self, other):
+        other = _as_tpoly(other, self.var)
+        if other is None:
+            return NotImplemented
+        pairs = zip_longest(self.parts, other.parts,
+                            fillvalue=Poly([], var=self.var))
+        return TPoly([p + q for p, q in pairs], var=self.var)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return TPoly([-p for p in self.parts], var=self.var)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        other = _as_tpoly(other, self.var)
+        if other is None:
+            return NotImplemented
+        n = len(self.parts) + len(other.parts) - 1
+        out = [Poly([], var=self.var)] * max(n, 0)
+        for i, p in enumerate(self.parts):
+            for j, q in enumerate(other.parts):
+                out[i + j] = out[i + j] + p * q
+        return TPoly(out, var=self.var)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        return _power(self, n, TPoly([Poly.constant(1, var=self.var)],
+                                     var=self.var))

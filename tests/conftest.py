@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 settings.register_profile("exact", deadline=None)
 settings.load_profile("exact")
 
-from origami_covers.poly import Poly
+from origami_covers.poly import Poly, TPoly
 
 rationals = st.builds(
     Fraction,
@@ -25,3 +25,9 @@ def polys(var="x", max_size=6, min_size=0):
 
 def nonzero_polys(var="x", max_size=6):
     return polys(var=var, max_size=max_size).filter(bool)
+
+
+def tpolys(max_parts=3, max_size=5):
+    """Polynomials in Q[t][x], given by their parts."""
+    return st.builds(TPoly, st.lists(polys(max_size=max_size),
+                                     max_size=max_parts))

@@ -118,6 +118,21 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:")
 
+    def test_identity_with_huge_coefficients_fails_quietly(self, capsys,
+                                                           tmp_path):
+        # Every field is within the parse caps, but the cleared identity's
+        # coefficients pass CPython's 4300-digit limit for int -> str.
+        doc = {"source_rhs": "(2^400)^10*x^3 + x", "target_rhs": "x^3 + x",
+               "f1": "x/((2^400)^3*x + 1)", "f2": "(2^400)^10*x",
+               "degree": 1}
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        identity = json.loads(out)["checks"][0]
+        assert identity == {"name": "cover_identity", "passed": False,
+                            "witness": "coefficient of t^0*x^8 differs"}
+
     def test_wrong_degree_exits_one(self, capsys, tmp_path):
         _, out, _ = run(capsys, "generate", "--genus", "2")
         doc = dict(json.loads(out)["cover"], degree=7)
@@ -181,7 +196,7 @@ class TestDegenerate:
     def test_pipeline_runs_once(self, capsys, monkeypatch):
         calls = {}
         for name in ("assemble_deformation_system", "solve_deformation",
-                     "deform"):
+                     "deform", "solve_exact", "_map_polys"):
             def counted(*args, _fn=getattr(degeneration, name), _name=name,
                         **kwargs):
                 calls[_name] = calls.get(_name, 0) + 1
@@ -190,7 +205,8 @@ class TestDegenerate:
         code, _, _ = run(capsys, "degenerate", "--genus", "3")
         assert code == 0
         assert calls == {"assemble_deformation_system": 1,
-                         "solve_deformation": 1, "deform": 1}
+                         "solve_deformation": 1, "deform": 1,
+                         "solve_exact": 1, "_map_polys": 1}
 
     def test_genus_one_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

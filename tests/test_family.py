@@ -20,7 +20,7 @@ from origami_covers.family import (
     legendre_curve,
 )
 from origami_covers.parsing import format_poly, parse_poly
-from origami_covers.poly import Poly, substitute_t
+from origami_covers.poly import Poly
 
 x = Poly.variable()
 
@@ -59,9 +59,9 @@ class TestCompanionPolynomials:
 
 class TestCurves:
     def test_legendre_curve(self):
-        rhs = legendre_curve().rhs
-        assert substitute_t(rhs, 1) == x * (x + 1) * (x + 1)
-        assert substitute_t(rhs, 0) == x * x * (x + 1)
+        curve = legendre_curve()
+        assert specialize_t(curve, 1).rhs == x * (x + 1) * (x + 1)
+        assert specialize_t(curve, 0).rhs == x * x * (x + 1)
 
     def test_genus_two_source(self):
         got = family_source_curve(2).rhs
@@ -78,7 +78,7 @@ class TestCurves:
 
     @given(g=genera)
     def test_source_specializes_to_degenerate(self, g):
-        rhs = substitute_t(family_source_curve(g).rhs, 0)
+        rhs = specialize_t(family_source_curve(g), 0).rhs
         assert rhs == x ** (2 * g) * (x + 1)
 
 

@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
-from conftest import polys, rationals
+from conftest import polys, tpolys
 from origami_covers.errors import ParseError
 from origami_covers.family import j_poly
 from origami_covers.parsing import (
@@ -16,7 +15,7 @@ from origami_covers.parsing import (
     parse_poly,
     parse_ratfunc,
 )
-from origami_covers.poly import Poly, is_t_free
+from origami_covers.poly import Poly, TPoly
 from origami_covers.ratfunc import RatFunc
 
 x = Poly.variable()
@@ -34,9 +33,8 @@ class TestParsePoly:
 
     def test_with_parameter(self):
         p = parse_poly("(1 + 9*t)*x^4 + 33*t*x^3")
-        assert not is_t_free(p)
-        assert p.coefficient(4) == Poly([1, 9], var="t")
-        assert p.coefficient(3) == Poly([0, 33], var="t")
+        assert isinstance(p, TPoly)
+        assert p.parts == (x**4, 9 * x**4 + 33 * x**3)
 
     def test_alternate_variable(self):
         z = Poly.variable("z")
@@ -133,44 +131,12 @@ class TestPrinting:
         assert format_ratfunc(RatFunc(3 * x, 1)) == "3*x"
 
 
-tpolys = st.builds(
-    lambda cs: Poly(cs, var="t"),
-    st.lists(rationals, min_size=1, max_size=3),
-)
-tower_polys = st.builds(
-    lambda cs: Poly(cs, var="x"),
-    st.lists(tpolys, min_size=0, max_size=5),
-)
-
-
-def _lowered(p):
-    """p with every constant t-coefficient replaced by its rational value."""
-    return p.map_coefficients(
-        lambda c: c.constant_value() if c.is_constant() else c
-    )
-
-
-class TestMixedCoefficients:
-    """A constant t-polynomial and its rational value are the same
-    coefficient: lowering one to the other changes no result."""
-
-    @given(p=tower_polys, q=tower_polys)
-    def test_lowering_keeps_equality_product_and_text(self, p, q):
-        lp, lq = _lowered(p), _lowered(q)
-        assert lp == p and p == lp
-        assert (lp == lq) == (p == q)
-        assert lp * lq == p * q
-        assert lp * q == p * lq
-        assert format_poly(lp * lq) == format_poly(p * q)
-        assert format_poly(lp) == format_poly(p)
-
-
 class TestRoundTrip:
     @given(p=polys())
     def test_poly_roundtrip(self, p):
         assert parse_poly(format_poly(p)) == p
 
-    @given(p=tower_polys)
+    @given(p=tpolys())
     def test_tower_roundtrip(self, p):
         assert parse_poly(format_poly(p)) == p
 

@@ -71,9 +71,25 @@ class TestVariableRule:
         assert not Poly.variable("x") == Poly.variable("z")
         assert Poly.constant(1) != Poly.constant(1, var=TVAR)
 
-    def test_t_scalar_enters_as_constant(self):
-        c = Poly([1, 2], var=TVAR)
-        assert Poly.constant(c) * (x + 1) == Poly([c, c])
+    def test_coefficients_are_rational(self):
+        with pytest.raises(TypeError):
+            Poly([Poly([0, 1], var=TVAR)])
+
+
+class TestProduct:
+    def test_zero_coefficients_are_skipped(self):
+        products = []
+
+        class Counting(Fraction):
+            def __mul__(self, other):
+                products.append(other)
+                return Fraction(self) * Fraction(other)
+
+            __rmul__ = __mul__
+
+        assert (Poly.monomial(Counting(3), 5) * Poly.monomial(Counting(2), 7)
+                == Poly.monomial(6, 12))
+        assert len(products) == 1
 
 
 class TestPower:

@@ -1,4 +1,5 @@
-"""Cross-checks of the gcd, squarefree and genus helpers against sympy.
+"""Cross-checks of the gcd, squarefree and genus helpers, and of Q[t][x]
+arithmetic and text, against sympy.
 
 sympy is an independent oracle for the tests only; the package itself has
 no runtime dependency on it.
@@ -7,24 +8,33 @@ no runtime dependency on it.
 import pytest
 from hypothesis import given
 
-from conftest import nonzero_polys
+from conftest import nonzero_polys, tpolys
 from origami_covers.curves import (
     HyperellipticCurve,
     genus_geometric,
     specialize_t,
 )
 from origami_covers.family import family_source_curve
-from origami_covers.poly import Poly, poly_gcd, squarefree_part
+from origami_covers.parsing import format_poly, parse_poly
+from origami_covers.poly import Poly, TPoly, poly_gcd, squarefree_part
 
 sympy = pytest.importorskip("sympy")
 
 X = sympy.Symbol("x")
+T = sympy.Symbol("t")
 
 
 def to_sympy(p: Poly):
     coeffs = [sympy.Rational(c.numerator, c.denominator)
               for c in reversed(p.coeffs)]
     return sympy.Poly(coeffs or [0], X, domain=sympy.QQ)
+
+
+def tpoly_to_sympy(p: TPoly):
+    """p as a sympy polynomial in x and t."""
+    expr = sum((to_sympy(part).as_expr() * T**k
+                for k, part in enumerate(p.parts)), sympy.Integer(0))
+    return sympy.Poly(expr, X, T, domain=sympy.QQ)
 
 
 def monic_coeffs(sp):
@@ -68,3 +78,23 @@ def test_geometric_genus_matches_sympy(a, b, c):
 def test_family_fibre_genus_matches_sympy(g, t):
     fibre = specialize_t(family_source_curve(g), t)
     assert genus_geometric(fibre) == oracle_genus(fibre.rhs)
+
+
+@given(a=tpolys(), b=tpolys())
+def test_tpoly_arithmetic_matches_sympy(a, b):
+    sa, sb = tpoly_to_sympy(a), tpoly_to_sympy(b)
+    assert tpoly_to_sympy(a + b) == sa + sb
+    assert tpoly_to_sympy(a - b) == sa - sb
+    assert tpoly_to_sympy(a * b) == sa * sb
+    assert tpoly_to_sympy(a**2) == sa**2
+
+
+@given(p=tpolys())
+def test_tpoly_text_matches_sympy(p):
+    # sympy reads the printed text as p, and the parser reads sympy's text
+    # of p as p.
+    ours = sympy.sympify(format_poly(p).replace("^", "**"),
+                         locals={"x": X, "t": T})
+    assert sympy.Poly(ours, X, T, domain=sympy.QQ) == tpoly_to_sympy(p)
+    theirs = str(tpoly_to_sympy(p).as_expr()).replace("**", "^")
+    assert parse_poly(theirs) == p
