@@ -150,11 +150,19 @@ def verify_cover_identity(cover: Cover) -> CoverCertificate:
 def pullback_invariant_differential(cover: Cover) -> RatFunc:
     """Coefficient lambda(x) of dx/y in the pullback of dx/y on the target.
 
-    With y_target = f2(x) * y_source this is f1'(x) / f2(x), reduced.
+    With y_target = f2(x) * y_source this is f1'(x) / f2(x), reduced.  For
+    f1 = a/b and f2 = n/d that is top/bottom with top = (a'b - ab')d and
+    bottom = b^2 n.  When bottom divides top, as it does for the family,
+    the quotient is the reduced value and no gcd is taken.
     """
-    if not cover.map.f2:
+    f1, f2 = cover.map.f1, cover.map.f2
+    if not f2:
         raise InvalidCover("second map component is zero")
-    return cover.map.f1.derivative() / cover.map.f2
+    a, b = f1.num, f1.den
+    top = (a.derivative() * b - a * b.derivative()) * f2.den
+    bottom = b * b * f2.num
+    quotient, remainder = divmod(top, bottom)
+    return RatFunc(top, bottom) if remainder else RatFunc(quotient)
 
 
 def ramification_report(cover: Cover) -> RamificationReport:

@@ -28,7 +28,7 @@ from .errors import (
 )
 from .family import FamilyInstance, legendre_curve
 from .linalg import LinearSystem, solve_exact
-from .poly import Poly, TPoly
+from .poly import Poly, TPoly, binomial
 from .ratfunc import RatFunc
 
 UVAR = "u"
@@ -84,14 +84,16 @@ def two_branch_map(n: int) -> RatFunc:
     """The degree-n self-map of the line fixing +-1 and branched only there.
 
     Conjugating z -> z^n by the involution z -> (1+z)/(1-z) gives
-    ((1+z)^n - (1-z)^n) / ((1+z)^n + (1-z)^n), reduced.
+    ((1+z)^n - (1-z)^n) / ((1+z)^n + (1-z)^n).  By the binomial theorem the
+    two sides are twice the odd and twice the even part of (1+z)^n, so the
+    map is sum_(k odd) C(n,k) z^k / sum_(k even) C(n,k) z^k.
     """
     if not isinstance(n, int) or n < 1 or n % 2 == 0:
         raise InvalidDegree(f"degree must be an odd positive integer, got {n!r}")
-    z = Poly.variable(ZVAR)
-    plus = (1 + z) ** n
-    minus = (1 - z) ** n
-    return RatFunc(plus - minus, plus + minus)
+    coeffs = [binomial(n, k) for k in range(n + 1)]
+    odd = Poly([c if k % 2 else 0 for k, c in enumerate(coeffs)], var=ZVAR)
+    even = Poly([0 if k % 2 else c for k, c in enumerate(coeffs)], var=ZVAR)
+    return RatFunc(odd, even)
 
 
 def _map_polys(g: int):

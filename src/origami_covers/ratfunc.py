@@ -5,6 +5,11 @@ the primitive integer polynomial with positive leading coefficient in its
 scalar class.  That normalization keeps the denominators of the covers in
 their familiar expanded shapes (e.g. ``9*x^2+24*x+16`` for ``(3x+4)^2``) and
 makes equality a plain representation comparison.
+
+Coprimality is first certified modulo the one prime p = 2^61 - 1, by Euclid
+over GF(p) (:func:`coprime_mod_p`); only when that certificate declines are
+the two polynomials reduced by a gcd over Q.  The canonical form is unique,
+so both routes reach the same representation.
 """
 
 from __future__ import annotations
@@ -13,6 +18,70 @@ from fractions import Fraction
 
 from .errors import DivisionByZero
 from .poly import Poly, poly_gcd
+
+
+# The one prime of the coprimality certificate.
+PRIME = 2**61 - 1
+
+
+def _residues(p: Poly):
+    """The coefficients of ``p`` modulo PRIME, or None when PRIME divides one
+    of their denominators."""
+    out = []
+    for c in p.coeffs:
+        den = c.denominator
+        if den == 1:
+            out.append(c.numerator % PRIME)
+        elif den % PRIME:
+            out.append(c.numerator * pow(den, -1, PRIME) % PRIME)
+        else:
+            return None
+    return out
+
+
+def _rem_mod_p(a: list, b: list) -> list:
+    """Remainder of a by b over GF(PRIME); coefficients lowest degree first,
+    b's leading coefficient nonzero."""
+    a = list(a)
+    inv = pow(b[-1], -1, PRIME)
+    n = len(b) - 1
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a[top] * inv % PRIME
+        if c:
+            lo = top - n
+            a[lo:top] = [(u - c * v) % PRIME for u, v in zip(a[lo:top], b)]
+    del a[n:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def coprime_mod_p(a: Poly, b: Poly) -> bool:
+    """True when a and b are certified coprime over Q modulo PRIME.
+
+    Lemma.  Suppose PRIME divides no coefficient denominator of a or b, so
+    reduction mod PRIME is a ring map phi on their coefficients, and that it
+    divides neither cleared leading coefficient, so phi keeps both degrees.
+    If a and b had a common factor h over Q of degree >= 1, scale h to be
+    primitive in Z[x].  By Gauss's lemma over the PRIME-integral rationals,
+    a = h*u with u PRIME-integral too, so lc(h) divides lc(a) there and phi
+    keeps the degree of h.  Then phi(h), of degree >= 1, divides both phi(a)
+    and phi(b), and gcd(phi(a), phi(b)) != 1.  So gcd(phi(a), phi(b)) = 1
+    proves a and b coprime over Q.
+
+    False means only that the certificate declines: a denominator or a
+    leading coefficient divisible by PRIME, a common factor modulo PRIME
+    alone, or a real common factor.
+    """
+    ra, rb = _residues(a), _residues(b)
+    if not ra or not rb or not ra[-1] or not rb[-1]:
+        return False
+    if len(ra) < len(rb):
+        ra, rb = rb, ra
+    while len(rb) > 1:
+        ra, rb = rb, _rem_mod_p(ra, rb)
+    # A nonzero constant remainder: gcd 1.  A zero one: gcd ra, degree >= 1.
+    return bool(rb)
 
 
 def _as_poly(value, var):
@@ -39,10 +108,13 @@ class RatFunc:
         if not num:
             den = Poly.constant(1, var=var)
         else:
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
+            # Constants are coprime to everything nonzero.
+            if not (num.is_constant() or den.is_constant()
+                    or coprime_mod_p(num, den)):
+                g = poly_gcd(num, den)
+                if g.degree() > 0:
+                    num = num.exact_div(g)
+                    den = den.exact_div(g)
             content, den = den.content_and_primitive()
             num = num * (1 / content)
         object.__setattr__(self, "num", num)

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from origami_covers import degeneration, family
+from origami_covers import degeneration, family, ratfunc
 from origami_covers.cli import main
 
 
@@ -11,6 +11,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def gcd_calls(capsys, monkeypatch, *argv):
+    """Run a command and count the gcds over Q that RatFunc falls back to."""
+    calls = []
+
+    def counted(a, b, _gcd=ratfunc.poly_gcd):
+        calls.append((a, b))
+        return _gcd(a, b)
+    monkeypatch.setattr(ratfunc, "poly_gcd", counted)
+    code, _, _ = run(capsys, *argv)
+    assert code == 0
+    return len(calls)
 
 
 class TestGenerate:
@@ -37,6 +50,9 @@ class TestGenerate:
         _, first, _ = run(capsys, "generate", "--genus", "3")
         _, second, _ = run(capsys, "generate", "--genus", "3")
         assert first == second
+
+    def test_no_gcd_over_q(self, capsys, monkeypatch):
+        assert gcd_calls(capsys, monkeypatch, "generate", "--genus", "8") == 0
 
     def test_genus_guard(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -144,21 +160,25 @@ class TestVerify:
         assert checks["cover_identity"]
         assert not checks["degree"]
 
-    @pytest.mark.parametrize("fields", [
-        {"source_rhs": "x^999999999"},
-        {"source_rhs": "(x^400)^400"},
-        {"source_rhs": "((2^512)^512)^512*x^5 + x"},
-        {"target_rhs": "x^200 + x", "f1": "(x^200+1)/(x^199+2)"},
+    @pytest.mark.parametrize("fields, seconds", [
+        ({"source_rhs": "x^999999999"}, 1),
+        ({"source_rhs": "(x^400)^400"}, 1),
+        ({"source_rhs": "((2^512)^512)^512*x^5 + x"}, 1),
+        ({"target_rhs": "x^200 + x", "f1": "(x^200+1)/(x^199+2)"}, 1),
+        # Parsing (x+2)^500 alone takes most of a second; reducing this f1
+        # by a gcd over Q ran for more than a minute.
+        ({"f1": "(x^512 + 3)/((x+2)^500 + 1)"}, 3),
     ], ids=["x^999999999", "(x^400)^400", "coefficient-size",
-            "identity-degree"])
-    def test_oversized_input_refused_quickly(self, capsys, tmp_path, fields):
+            "identity-degree", "coprime-f1-of-degree-512"])
+    def test_oversized_input_refused_quickly(self, capsys, tmp_path, fields,
+                                             seconds):
         _, out, _ = run(capsys, "generate", "--genus", "2")
         doc = dict(json.loads(out)["cover"], **fields)
         path = tmp_path / "cover.json"
         path.write_text(json.dumps(doc))
         start = time.perf_counter()
         code, out, err = run(capsys, "verify", str(path))
-        assert time.perf_counter() - start < 1
+        assert time.perf_counter() - start < seconds
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and "limit" in err
@@ -207,6 +227,9 @@ class TestDegenerate:
         assert calls == {"assemble_deformation_system": 1,
                          "solve_deformation": 1, "deform": 1,
                          "solve_exact": 1, "_map_polys": 1}
+
+    def test_no_gcd_over_q(self, capsys, monkeypatch):
+        assert gcd_calls(capsys, monkeypatch, "degenerate", "--genus", "8") == 0
 
     def test_genus_one_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -120,6 +120,27 @@ class TestRamification:
         lam = pullback_invariant_differential(inst.cover)
         assert lam == inst.cover.map.f1.derivative() / inst.cover.map.f2
 
+    @pytest.mark.parametrize("g", range(1, 13))
+    def test_family_pullback_is_derivative_over_f2(self, g):
+        cover = build_family(g).cover
+        lam = pullback_invariant_differential(cover)
+        assert lam == cover.map.f1.derivative() / cover.map.f2
+
+    def test_rational_pullback_is_derivative_over_f2(self):
+        # b^2 n = (x+1)^2 (x+2) does not divide (a'b - ab')d = x(x+2)(x-1),
+        # so the pullback is reduced from the full fraction.
+        f1, f2 = RatFunc(x * x, x + 1), RatFunc(x + 2, x - 1)
+        cover = Cover(
+            source=HyperellipticCurve(x**5 + x),
+            target=HyperellipticCurve(x**3 + 1),
+            map=CoverMap(f1=f1, f2=f2),
+            degree=2,
+        )
+        lam = pullback_invariant_differential(cover)
+        assert lam == f1.derivative() / f2
+        assert lam == RatFunc(x * (x - 1), (x + 1) ** 2)
+        assert not lam.is_poly()
+
     def test_non_monomial_pullback_rejected(self):
         # f1' = 2x + 1 is not a monomial, so the report refuses the shape.
         cover = Cover(

@@ -1,5 +1,6 @@
-"""Cross-checks of the gcd, squarefree and genus helpers, and of Q[t][x]
-arithmetic and text, against sympy.
+"""Cross-checks of the gcd, squarefree and genus helpers, of RatFunc's
+canonical form and coprimality certificate, and of Q[t][x] arithmetic and
+text, against sympy.
 
 sympy is an independent oracle for the tests only; the package itself has
 no runtime dependency on it.
@@ -8,7 +9,7 @@ no runtime dependency on it.
 import pytest
 from hypothesis import given
 
-from conftest import nonzero_polys, tpolys
+from conftest import nonzero_polys, polys, tpolys
 from origami_covers.curves import (
     HyperellipticCurve,
     genus_geometric,
@@ -17,6 +18,7 @@ from origami_covers.curves import (
 from origami_covers.family import family_source_curve
 from origami_covers.parsing import format_poly, parse_poly
 from origami_covers.poly import Poly, TPoly, poly_gcd, squarefree_part
+from origami_covers.ratfunc import RatFunc, coprime_mod_p
 
 sympy = pytest.importorskip("sympy")
 
@@ -56,6 +58,30 @@ def test_gcd_matches_sympy_up_to_a_unit(a, b, c):
     ours = poly_gcd(a * c, b * c)
     theirs = sympy.gcd(to_sympy(a * c), to_sympy(b * c))
     assert monic_coeffs(to_sympy(ours)) == monic_coeffs(theirs)
+
+
+@given(a=polys(max_size=4), b=nonzero_polys(max_size=4),
+       c=nonzero_polys(max_size=3))
+def test_ratfunc_matches_sympy_cancel(a, b, c):
+    num, den = sympy.fraction(sympy.cancel(
+        to_sympy(a * c).as_expr() / to_sympy(b * c).as_expr()))
+    num = sympy.Poly(num, X, domain=sympy.QQ)
+    den = sympy.Poly(den, X, domain=sympy.QQ)
+    # The canonical denominator: primitive over Z, positive leading
+    # coefficient; the numerator takes the same scale.
+    _, primitive = den.clear_denoms(convert=True)[1].primitive()
+    scale = sympy.Rational(abs(int(primitive.LC()))) / den.LC()
+    r = RatFunc(a * c, b * c)
+    assert to_sympy(r.num) == num * scale
+    assert to_sympy(r.den) == den * scale
+
+
+@given(a=nonzero_polys(max_size=5), b=nonzero_polys(max_size=5),
+       c=nonzero_polys(max_size=3))
+def test_certified_coprime_pairs_have_gcd_one(a, b, c):
+    for u, v in ((a, b), (a * c, b * c)):
+        if coprime_mod_p(u, v):
+            assert sympy.gcd(to_sympy(u), to_sympy(v)).degree() == 0
 
 
 @given(a=nonzero_polys(max_size=3), b=nonzero_polys(max_size=3),
