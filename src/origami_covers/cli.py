@@ -128,8 +128,8 @@ def _verify_checks(cover) -> list:
                 f"index {report.ramification_index}",
             ))
         except UnsupportedShape as exc:
-            checks.append(_check("ramification_shape", True,
-                                 f"skipped: {exc}"))
+            # No certificate of a unique totally ramified point: not passed.
+            checks.append(_check("ramification_shape", False, str(exc)))
     return checks
 
 

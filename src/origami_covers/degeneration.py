@@ -143,18 +143,26 @@ def pipeline_closure(g: int) -> bool:
 
     Composing the nodal-cubic normalization with the two-branch map must
     agree with composing the degenerate cover with the source normalization,
-    coordinate by coordinate, as identities in the line parameter.
+    coordinate by coordinate.  With w = N/D, f1 = a/b, f2 = n/d and the
+    source normalization (x(u), y(u)), that is two cleared identities in u:
+    a(x(u)) D^2 = (N^2 - D^2) b(x(u)) and
+    n(x(u)) y(u) D^3 = (N^3 - N D^2) d(x(u)).
     """
     _check_genus(g)
     source_norm = normalize_degenerate_source(g)
+    x_of_u, y_of_u = source_norm.x_of_u, source_norm.y_of_u
     normalize_nodal_cubic()
     tbm = two_branch_map(2 * g - 1)
     u = Poly.variable(UVAR)
-    w = tbm.compose(u)
-    cover = degenerate_cover(g)
-    x_route = cover.map.f1.compose(source_norm.x_of_u)
-    y_route = cover.map.f2.compose(source_norm.x_of_u) * source_norm.y_of_u
-    return x_route == w * w - 1 and y_route == w**3 - w
+    big_n, big_d = tbm.num.compose(u), tbm.den.compose(u)
+    cover_map = degenerate_cover(g).map
+    f1, f2 = cover_map.f1, cover_map.f2
+    d_sq = big_d * big_d
+    w_sq_minus_1 = big_n * big_n - d_sq  # (w^2 - 1) D^2
+    return (f1.num.compose(x_of_u) * d_sq
+            == w_sq_minus_1 * f1.den.compose(x_of_u)
+            and f2.num.compose(x_of_u) * y_of_u * d_sq * big_d
+            == w_sq_minus_1 * big_n * f2.den.compose(x_of_u))
 
 
 # -- first-order deformation ----------------------------------------------

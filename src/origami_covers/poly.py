@@ -221,7 +221,7 @@ class Poly:
         )
 
     def __call__(self, value):
-        """Evaluate by Horner's rule; value may be a scalar, Poly, or RatFunc."""
+        """Evaluate by Horner's rule; value may be a scalar or Poly."""
         result = None
         for c in reversed(self.coeffs):
             result = c if result is None else result * value + c

@@ -1,10 +1,12 @@
-"""Rational functions over Q in one variable, kept in canonical reduced form.
+"""Rational functions over Q in one variable, as certified canonical values.
 
-Canonical form: numerator and denominator are coprime, and the denominator is
-the primitive integer polynomial with positive leading coefficient in its
-scalar class.  That normalization keeps the denominators of the covers in
-their familiar expanded shapes (e.g. ``9*x^2+24*x+16`` for ``(3x+4)^2``) and
-makes equality a plain representation comparison.
+A :class:`RatFunc` is an immutable pair (num, den) in canonical form:
+numerator and denominator are coprime, and the denominator is the primitive
+integer polynomial with positive leading coefficient in its scalar class.
+That keeps the covers' denominators in their familiar expanded shapes (e.g.
+``9*x^2+24*x+16`` for ``(3x+4)^2``) and makes equality a comparison of pairs.
+There is no fraction arithmetic: a certificate reads ``num`` and ``den`` and
+states its claim as a polynomial identity with cleared denominators.
 
 Coprimality is first certified modulo the one prime p = 2^61 - 1, by Euclid
 over GF(p) (:func:`coprime_mod_p`); only when that certificate declines are
@@ -91,7 +93,7 @@ def _as_poly(value, var):
 
 
 class RatFunc:
-    """Immutable reduced fraction of two rational-coefficient polynomials."""
+    """Immutable certified canonical pair (num, den); it has no arithmetic."""
 
     __slots__ = ("num", "den")
 
@@ -123,10 +125,6 @@ class RatFunc:
     def __setattr__(self, *args):
         raise AttributeError("RatFunc is immutable")
 
-    @property
-    def var(self):
-        return self.num.var
-
     def is_poly(self) -> bool:
         return self.den.is_constant()
 
@@ -149,79 +147,3 @@ class RatFunc:
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"
-
-    # -- field arithmetic --------------------------------------------------
-
-    def _coerce(self, other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction, Poly)):
-            return RatFunc(other, 1, var=self.var)
-        return None
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not other:
-            raise DivisionByZero("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __pow__(self, n: int):
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        return RatFunc(self.num**n, self.den**n)
-
-    # -- calculus / substitution ------------------------------------------
-
-    def derivative(self) -> "RatFunc":
-        """Formal derivative by the quotient rule, reduced."""
-        n, d = self.num, self.den
-        return RatFunc(n.derivative() * d - n * d.derivative(), d * d)
-
-    def compose(self, other) -> "RatFunc":
-        """self(other), for a polynomial or rational-function argument."""
-        other = self._coerce(other)
-        num = self.num(other)
-        den = self.den(other)
-        num = self._coerce(num)
-        den = self._coerce(den)
-        if not den:
-            raise DivisionByZero("composition hit a vanishing denominator")
-        return num / den

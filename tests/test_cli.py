@@ -160,6 +160,22 @@ class TestVerify:
         assert checks["cover_identity"]
         assert not checks["degree"]
 
+    def test_uncertified_ramification_shape_exits_one(self, capsys, tmp_path):
+        # (x, y) -> (x^2 + x, y) is a cover, but its pullback 2x + 1 is not a
+        # monomial, so nothing certifies a unique totally ramified point.
+        doc = {"source_rhs": "x^6 + 3*x^5 + 3*x^4 + x^3 + 1",
+               "target_rhs": "x^3 + 1", "f1": "x^2 + x", "f2": "1",
+               "degree": 2}
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["cover_identity"]["passed"]
+        assert checks["ramification_shape"] == {
+            "name": "ramification_shape", "passed": False,
+            "witness": "pullback coefficient is not a monomial"}
+
     @pytest.mark.parametrize("fields, seconds", [
         ({"source_rhs": "x^999999999"}, 1),
         ({"source_rhs": "(x^400)^400"}, 1),

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from origami_covers.curves import verify_cover_identity
+from origami_covers import degeneration
+from origami_covers.curves import Cover, CoverMap, verify_cover_identity
 from origami_covers.degeneration import (
     _map_polys,
     assemble_deformation_system,
@@ -22,6 +23,8 @@ from origami_covers.errors import FirstOrderOnly, InvalidDegree, InvalidGenus
 from origami_covers.family import build_family
 from origami_covers.linalg import solve_exact
 from origami_covers.poly import Poly, TPoly
+from origami_covers.ratfunc import RatFunc
+from origami_covers.selftest import check_two_branch_map
 
 z = Poly.variable("z")
 
@@ -61,14 +64,15 @@ class TestTwoBranchMap:
     @pytest.mark.parametrize("n", [1, 3, 5, 7, 9])
     def test_fixes_plus_minus_one(self, n):
         m = two_branch_map(n)
-        one = Poly.constant(1, "z")
-        assert m.compose(one) == 1
-        assert m.compose(-one) == -1
+        assert m.den(1) and m.num(1) == m.den(1)
+        assert m.den(-1) and m.num(-1) == -m.den(-1)
 
     @pytest.mark.parametrize("n", [1, 3, 5, 7])
     def test_branched_only_at_fixed_points(self, n):
-        # The derivative numerator must be a constant times (z^2 - 1)^(n-1).
-        dnum = two_branch_map(n).derivative().num
+        # The numerator of the derivative, num' den - num den', must be a
+        # constant times (z^2 - 1)^(n-1).
+        m = two_branch_map(n)
+        dnum = m.num.derivative() * m.den - m.num * m.den.derivative()
         quotient = dnum.exact_div((z * z - 1) ** (n - 1))
         assert quotient.is_constant()
 
@@ -76,6 +80,26 @@ class TestTwoBranchMap:
     def test_rejects_even_or_nonpositive(self, bad):
         with pytest.raises(InvalidDegree):
             two_branch_map(bad)
+
+    @pytest.mark.parametrize("breakage, witness", [
+        (lambda n, m: RatFunc(m.num + z + 1, m.den), "does not fix +1"),
+        (lambda n, m: RatFunc(m.num + z - 1, m.den), "does not fix -1"),
+        (lambda n, m: RatFunc(m.num + z * (z * z - 1), m.den),
+         "derivative numerator not (z^2-1)^(n-1)"),
+        # The degree-(n+2) map is branched only at +-1, to one order more.
+        (lambda n, m: two_branch_map(n + 2),
+         "derivative numerator shape wrong"),
+    ], ids=["plus-one", "minus-one", "not-divisible", "nonconstant-quotient"])
+    def test_selftest_check_names_the_failure(self, monkeypatch, breakage,
+                                              witness):
+        # n = 1 and 3 keep the true map, so the first failure is at n = 5.
+        monkeypatch.setattr(
+            degeneration, "two_branch_map",
+            lambda n: two_branch_map(n) if n < 5
+            else breakage(n, two_branch_map(n)))
+        result = check_two_branch_map()
+        assert not result.ok
+        assert result.detail == f"n=5 {witness}"
 
 
 class TestDegenerateCover:
@@ -96,6 +120,20 @@ class TestDegenerateCover:
     @pytest.mark.parametrize("g", [2, 3])
     def test_pipeline_closure(self, g):
         assert pipeline_closure(g)
+
+    @pytest.mark.parametrize("perturb", [
+        lambda f1, f2: (f1, RatFunc(2 * f2.num, f2.den)),
+        lambda f1, f2: (RatFunc(f1.num + 1, f1.den), f2),
+    ], ids=["f2-doubled", "f1-numerator-perturbed"])
+    def test_pipeline_closure_fails_for_a_wrong_cover(self, monkeypatch,
+                                                      perturb):
+        def wrong_cover(g):
+            cover = degenerate_cover(g)
+            f1, f2 = perturb(cover.map.f1, cover.map.f2)
+            return Cover(cover.source, cover.target, CoverMap(f1, f2),
+                         cover.degree)
+        monkeypatch.setattr(degeneration, "degenerate_cover", wrong_cover)
+        assert not pipeline_closure(3)
 
     def test_map_matches_family(self):
         for g in (2, 3):

@@ -1,21 +1,24 @@
 """Cross-checks of the gcd, squarefree and genus helpers, of RatFunc's
-canonical form and coprimality certificate, and of Q[t][x] arithmetic and
-text, against sympy.
+canonical form and coprimality certificate, of the pullback differential,
+and of Q[t][x] arithmetic and text, against sympy.
 
 sympy is an independent oracle for the tests only; the package itself has
 no runtime dependency on it.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
-from conftest import nonzero_polys, polys, tpolys
+from conftest import nonzero_polys, polys, rationals, tpolys
 from origami_covers.curves import (
+    Cover,
+    CoverMap,
     HyperellipticCurve,
     genus_geometric,
+    pullback_invariant_differential,
     specialize_t,
 )
-from origami_covers.family import family_source_curve
+from origami_covers.family import build_family, family_source_curve
 from origami_covers.parsing import format_poly, parse_poly
 from origami_covers.poly import Poly, TPoly, poly_gcd, squarefree_part
 from origami_covers.ratfunc import RatFunc, coprime_mod_p
@@ -37,6 +40,41 @@ def tpoly_to_sympy(p: TPoly):
     expr = sum((to_sympy(part).as_expr() * T**k
                 for k, part in enumerate(p.parts)), sympy.Integer(0))
     return sympy.Poly(expr, X, T, domain=sympy.QQ)
+
+
+def canonical_pair(expr):
+    """sympy's reduced fraction of expr, scaled to RatFunc's canonical form:
+    the denominator primitive over Z with a positive leading coefficient,
+    and the numerator at the same scale."""
+    num, den = sympy.fraction(sympy.cancel(expr))
+    num = sympy.Poly(num, X, domain=sympy.QQ)
+    den = sympy.Poly(den, X, domain=sympy.QQ)
+    _, primitive = den.clear_denoms(convert=True)[1].primitive()
+    scale = sympy.Rational(abs(int(primitive.LC()))) / den.LC()
+    return num * scale, den * scale
+
+
+def as_pair(r: RatFunc):
+    return to_sympy(r.num), to_sympy(r.den)
+
+
+def pullback(f1: RatFunc, f2: RatFunc) -> RatFunc:
+    """The pullback coefficient of the map (f1, f2*y); the curves play no
+    part in it."""
+    x = Poly.variable()
+    return pullback_invariant_differential(Cover(
+        source=HyperellipticCurve(x**5 + x),
+        target=HyperellipticCurve(x**3 + 1),
+        map=CoverMap(f1=f1, f2=f2),
+        degree=2,
+    ))
+
+
+def sympy_pullback(f1: RatFunc, f2: RatFunc):
+    """f1' / f2 by sympy's differentiation and cancellation."""
+    a, b, n, d = (to_sympy(p).as_expr()
+                  for p in (f1.num, f1.den, f2.num, f2.den))
+    return canonical_pair(sympy.diff(a / b, X) / (n / d))
 
 
 def monic_coeffs(sp):
@@ -63,17 +101,38 @@ def test_gcd_matches_sympy_up_to_a_unit(a, b, c):
 @given(a=polys(max_size=4), b=nonzero_polys(max_size=4),
        c=nonzero_polys(max_size=3))
 def test_ratfunc_matches_sympy_cancel(a, b, c):
-    num, den = sympy.fraction(sympy.cancel(
-        to_sympy(a * c).as_expr() / to_sympy(b * c).as_expr()))
-    num = sympy.Poly(num, X, domain=sympy.QQ)
-    den = sympy.Poly(den, X, domain=sympy.QQ)
-    # The canonical denominator: primitive over Z, positive leading
-    # coefficient; the numerator takes the same scale.
-    _, primitive = den.clear_denoms(convert=True)[1].primitive()
-    scale = sympy.Rational(abs(int(primitive.LC()))) / den.LC()
-    r = RatFunc(a * c, b * c)
-    assert to_sympy(r.num) == num * scale
-    assert to_sympy(r.den) == den * scale
+    expected = canonical_pair(
+        to_sympy(a * c).as_expr() / to_sympy(b * c).as_expr())
+    assert as_pair(RatFunc(a * c, b * c)) == expected
+
+
+@given(a=polys(max_size=4), b=nonzero_polys(max_size=3),
+       n=nonzero_polys(max_size=3), d=nonzero_polys(max_size=3))
+def test_pullback_matches_sympy_on_the_remainder_branch(a, b, n, d):
+    f1, f2 = RatFunc(a, b), RatFunc(n, d)
+    lam = pullback(f1, f2)
+    # A rational pullback: b^2 n did not divide (a'b - ab')d.
+    assume(not lam.is_poly())
+    assert as_pair(lam) == sympy_pullback(f1, f2)
+
+
+@given(a=polys(max_size=4), b=nonzero_polys(max_size=3),
+       c=rationals.filter(bool), e=nonzero_polys(max_size=3))
+def test_pullback_matches_sympy_on_the_exact_branch(a, b, c, e):
+    # f2 = c / (b^2 e) makes b^2 n a constant times b^2, which divides
+    # (a'b - ab')d = (a'b - ab') b^2 e.
+    f1 = RatFunc(a, b)
+    f2 = RatFunc(c, f1.den * f1.den * e)
+    lam = pullback(f1, f2)
+    assert lam.is_poly()
+    assert as_pair(lam) == sympy_pullback(f1, f2)
+
+
+@pytest.mark.parametrize("g", range(1, 13))
+def test_family_pullback_matches_sympy(g):
+    cover = build_family(g).cover
+    lam = pullback_invariant_differential(cover)
+    assert as_pair(lam) == sympy_pullback(cover.map.f1, cover.map.f2)
 
 
 @given(a=nonzero_polys(max_size=5), b=nonzero_polys(max_size=5),
