@@ -78,7 +78,8 @@ def _norm_bits(p: TPoly) -> int:
 
     The sum bounds every coefficient, and a * b stays within _norm_bits(a) +
     _norm_bits(b) bits, a^n within n * _norm_bits(a)."""
-    norm = sum(abs(c.numerator) for part in p.parts for c in part.coeffs)
+    norm = sum(abs(part.content.numerator) * sum(map(abs, part.ints))
+               for part in p.parts)
     return max(norm - 1, 0).bit_length()
 
 
@@ -309,11 +310,11 @@ def format_poly(p) -> str:
         return "0"
     pieces = []
     for e in range(p.degree(), -1, -1):
-        c = Poly([part.coefficient(e) for part in p.parts], var=TVAR)
+        c = [part.coefficient(e) for part in p.parts]
         xpart = _power_text(p.var, e)
-        terms = [(k, v) for k, v in enumerate(c.coeffs) if v]
+        terms = [(k, v) for k, v in enumerate(c) if v]
         if len(terms) > 1:
-            body = f"({format_tpoly(c)})"
+            body = f"({format_tpoly(Poly(c, var=TVAR))})"
             pieces.append(("+", f"{body}*{xpart}" if xpart else body))
         elif terms:
             (k, v), = terms

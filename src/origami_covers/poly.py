@@ -1,9 +1,17 @@
 """Dense univariate polynomials over Q, and polynomials over Q[t] by parts.
 
-A :class:`Poly` holds :class:`fractions.Fraction` coefficients only, lowest
-degree first; the leading stored coefficient is always nonzero (the zero
-polynomial has an empty coefficient list).  Two polynomials combine only when
-they share a variable; anything else raises :class:`ValueError`.
+A :class:`Poly` is stored as one rational ``content`` times a primitive
+integer coefficient tuple ``ints``, lowest degree first: the integers are
+coprime and the last one is positive, so every polynomial has one stored
+form (zero has the empty tuple and content 0).  ``coeffs``,
+:meth:`Poly.coefficient` and :meth:`Poly.leading_coefficient` read the
+rational coefficients back as :class:`fractions.Fraction`\\ s.  Two
+polynomials combine only when they share a variable; anything else raises
+:class:`ValueError`.
+
+A product multiplies the contents and the primitive parts.  The primitive
+parts multiply as one Python ``int`` each (Kronecker substitution), and by
+Gauss's lemma their product is primitive again, so it needs no gcd.
 
 A polynomial in Q[t][x] is a :class:`TPoly`: its ``parts[k]`` is the Q[x]
 polynomial that multiplies t^k, so an identity over Q[t] holds exactly when
@@ -25,6 +33,9 @@ NEG_INF = float("-inf")
 XVAR = "x"
 TVAR = "t"
 
+ZERO = Fraction(0)
+ONE = Fraction(1)
+
 
 def binomial(n: int, k: int) -> int:
     """Exact binomial coefficient; 0 when k > n."""
@@ -33,14 +44,6 @@ def binomial(n: int, k: int) -> int:
     if k > n:
         return 0
     return math.comb(n, k)
-
-
-def _coerce(c):
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
-    raise TypeError(f"unsupported coefficient type {type(c).__name__}")
 
 
 def _power(base, n: int, one):
@@ -57,16 +60,90 @@ def _power(base, n: int, one):
     return result
 
 
-class Poly:
-    """Immutable dense univariate polynomial."""
+def _make(ints: tuple, content: Fraction, var: str) -> "Poly":
+    """The Poly content * ints, for ints already primitive with a positive
+    last entry (or empty, with content 0)."""
+    p = object.__new__(Poly)
+    object.__setattr__(p, "ints", ints)
+    object.__setattr__(p, "content", content)
+    object.__setattr__(p, "var", var)
+    return p
 
-    __slots__ = ("coeffs", "var")
+
+def _primitive(ints: list, scale) -> tuple:
+    """(primitive tuple, content) of scale * ints, for any integer list:
+    trailing zeros dropped and the gcd and sign of the rest moved into the
+    content."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return (), ZERO
+    g = math.gcd(*ints)
+    if ints[-1] < 0:
+        g = -g
+    if g != 1:
+        ints = [c // g for c in ints]
+    return tuple(ints), scale * g
+
+
+def _normal(ints: list, scale, var: str) -> "Poly":
+    """The Poly scale * ints, for any integer list."""
+    return _make(*_primitive(ints, scale), var)
+
+
+def _pack(a: tuple, size: int) -> int:
+    """sum a[i] * 256^(size*i), one slot of ``size`` bytes per entry; each
+    |a[i]| < 2^(8*size - 1).  A negative entry borrows one from the next
+    slot, so each slot holds its entry plus the incoming borrow in two's
+    complement and the whole reads back as one signed int."""
+    data, borrow = [], 0
+    for c in a:
+        c += borrow
+        data.append(c.to_bytes(size, "little", signed=True))
+        borrow = -(c < 0)
+    return int.from_bytes(b"".join(data), "little", signed=True)
+
+
+def _kronecker(a: tuple, b: tuple) -> tuple:
+    """The integer coefficients of a * b, as one product of packed ints.
+
+    A coefficient of the product is a sum of at most min(len a, len b)
+    products, so its magnitude is at most that bound; a slot holds the
+    bound's bits plus a sign bit, rounded up to whole bytes.  Unpacking
+    reads each slot plus the borrow of the slot below it.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    size = (bound.bit_length() + 8) // 8
+    half, full = 1 << (8 * size - 1), 1 << (8 * size)
+    n = len(a) + len(b) - 1
+    data = memoryview((_pack(a, size) * _pack(b, size)).to_bytes(
+        n * size, "little", signed=True))
+    out, carry = [], 0
+    for i in range(0, n * size, size):
+        c = int.from_bytes(data[i:i + size], "little") + carry
+        carry = c >= half
+        out.append(c - full if carry else c)
+    return tuple(out)
+
+
+class Poly:
+    """Immutable dense univariate polynomial: ``content`` times ``ints``."""
+
+    __slots__ = ("ints", "content", "var")
 
     def __init__(self, coeffs=(), var=XVAR):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and not cs[-1]:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = list(coeffs)
+        try:
+            dens = [c.denominator for c in cs]
+            nums = [c.numerator for c in cs]
+        except AttributeError:
+            raise TypeError("coefficients must be rational numbers") from None
+        den = math.lcm(*dens)
+        if den != 1:
+            nums = [n * (den // d) for n, d in zip(nums, dens)]
+        ints, content = _primitive(nums, Fraction(1, den))
+        object.__setattr__(self, "ints", ints)
+        object.__setattr__(self, "content", content)
         object.__setattr__(self, "var", var)
 
     def __setattr__(self, *args):
@@ -88,43 +165,47 @@ class Poly:
 
     # -- structure ---------------------------------------------------------
 
+    @property
+    def coeffs(self) -> tuple:
+        """The rational coefficients, lowest degree first."""
+        return tuple(self.content * c if c else ZERO for c in self.ints)
+
     def degree(self):
         """Degree of the polynomial; -inf sentinel for the zero polynomial."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.ints) - 1 if self.ints else NEG_INF
 
     def leading_coefficient(self):
-        return self.coeffs[-1] if self.coeffs else Fraction(0)
+        return self.content * self.ints[-1] if self.ints else ZERO
 
     def coefficient(self, exponent):
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
-        return Fraction(0)
+        if 0 <= exponent < len(self.ints) and self.ints[exponent]:
+            return self.content * self.ints[exponent]
+        return ZERO
 
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.ints) <= 1
 
     def constant_value(self):
         """The constant this polynomial equals; raises if degree > 0."""
-        if not self.coeffs:
-            return Fraction(0)
-        if len(self.coeffs) > 1:
+        if len(self.ints) > 1:
             raise ValueError("polynomial is not constant")
-        return self.coeffs[0]
+        return self.content
 
     @property
     def parts(self) -> tuple:
         """This polynomial as a :class:`TPoly`'s parts: itself at t^0."""
-        return (self,) if self.coeffs else ()
+        return (self,) if self.ints else ()
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.ints)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.var == other.var and self.coeffs == other.coeffs
+        return (self.var == other.var and self.ints == other.ints
+                and self.content == other.content)
 
     __hash__ = None
 
@@ -143,18 +224,28 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_var(other)
-        a, b = self.coeffs, other.coeffs
+        if not other.ints:
+            return self
+        if not self.ints:
+            return other
+        # Both contents are integer multiples u, v of scale.
+        ca, cb = self.content, other.content
+        den = math.lcm(ca.denominator, cb.denominator)
+        u = ca.numerator * (den // ca.denominator)
+        v = cb.numerator * (den // cb.denominator)
+        g = math.gcd(u, v)
+        u, v = u // g, v // g
+        a = [u * c for c in self.ints]
+        b = [v * c for c in other.ints]
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return Poly(out, var=self.var)
+        a[:len(b)] = [c + d for c, d in zip(a, b)]
+        return _normal(a, Fraction(g, den), self.var)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs], var=self.var)
+        return _make(self.ints, -self.content, self.var)
 
     def __sub__(self, other):
         return self + (-other)
@@ -164,19 +255,16 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs], var=self.var)
+            if not other or not self.ints:
+                return _make((), ZERO, self.var)
+            return _make(self.ints, self.content * other, self.var)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_var(other)
-        if not self.coeffs or not other.coeffs:
-            return Poly([], var=self.var)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b]
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in nonzero:
-                    out[i + j] += a * b
-        return Poly(out, var=self.var)
+        if not self.ints or not other.ints:
+            return _make((), ZERO, self.var)
+        return _make(_kronecker(self.ints, other.ints),
+                     self.content * other.content, self.var)
 
     __rmul__ = __mul__
 
@@ -184,27 +272,41 @@ class Poly:
         return _power(self, n, Poly.constant(1, var=self.var))
 
     def __divmod__(self, other):
+        """Quotient and remainder over Q.
+
+        The remainder of the primitive parts is kept as integers ``rem``
+        over one denominator ``scale``: before each step ``rem`` is
+        multiplied by just enough of the divisor's leading coefficient that
+        the step's quotient term is an integer over ``scale``.
+        """
         if isinstance(other, (int, Fraction)):
             other = Poly.constant(other, var=self.var)
         self._check_var(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        quo = [Fraction(0)] * max(len(rem) - len(other.coeffs) + 1, 0)
-        dlead = other.coeffs[-1]
-        dlen = len(other.coeffs)
-        while len(rem) >= dlen:
-            while rem and not rem[-1]:
-                rem.pop()
-            if len(rem) < dlen:
-                break
-            factor = rem[-1] / dlead
-            shift = len(rem) - dlen
-            quo[shift] = factor
-            for i, c in enumerate(other.coeffs):
-                rem[shift + i] = rem[shift + i] - factor * c
-            rem.pop()
-        return Poly(quo, var=self.var), Poly(rem, var=self.var)
+        a, b = self.ints, other.ints
+        dlen = len(b)
+        if len(a) < dlen:
+            return _make((), ZERO, self.var), self
+        lead, low = b[-1], b[:-1]
+        rem, scale = list(a), 1
+        terms = [None] * (len(a) - dlen + 1)   # (numerator, scale) pairs
+        for shift in range(len(a) - dlen, -1, -1):
+            top = rem.pop()
+            if not top:
+                terms[shift] = (0, scale)
+                continue
+            g = math.gcd(top, lead)
+            m, f = lead // g, top // g
+            if m != 1:
+                rem = [m * c for c in rem]
+                scale *= m
+            terms[shift] = (f, scale)
+            rem[shift:] = [c - f * d for c, d in zip(rem[shift:], low)]
+        ratio = self.content / other.content
+        quo = [f * (scale // s) for f, s in terms]
+        return (_normal(quo, ratio / scale, self.var),
+                _normal(rem, self.content / scale, self.var))
 
     def exact_div(self, other) -> "Poly":
         """Exact quotient; raises :class:`NotDivisible` on nonzero remainder."""
@@ -216,18 +318,17 @@ class Poly:
     # -- calculus / evaluation --------------------------------------------
 
     def derivative(self) -> "Poly":
-        return Poly(
-            [i * c for i, c in enumerate(self.coeffs)][1:], var=self.var
-        )
+        return _normal([i * c for i, c in enumerate(self.ints)][1:],
+                       self.content, self.var)
 
     def __call__(self, value):
         """Evaluate by Horner's rule; value may be a scalar or Poly."""
-        result = None
-        for c in reversed(self.coeffs):
-            result = c if result is None else result * value + c
-        if result is None:
-            return Fraction(0)
-        return result
+        if not self.ints:
+            return ZERO
+        result = self.ints[-1]
+        for c in reversed(self.ints[:-1]):
+            result = result * value + c
+        return result * self.content
 
     def compose(self, other) -> "Poly":
         """self(other(x)) for a polynomial argument."""
@@ -239,12 +340,9 @@ class Poly:
     # -- field-coefficient normal forms -----------------------------------
 
     def monic(self) -> "Poly":
-        if not self.coeffs:
+        if not self.ints:
             return self
-        lead = self.coeffs[-1]
-        if lead == 1:
-            return self
-        return Poly([c / lead for c in self.coeffs], var=self.var)
+        return _make(self.ints, Fraction(1, self.ints[-1]), self.var)
 
     def content_and_primitive(self):
         """Split a rational-coefficient polynomial as content * primitive.
@@ -252,28 +350,122 @@ class Poly:
         The primitive part has coprime integer coefficients and a positive
         leading coefficient; the content is a (possibly negative) Fraction.
         """
-        if not self.coeffs:
-            return Fraction(0), self
-        den_lcm = 1
-        for c in self.coeffs:
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        num_gcd = 0
-        for c in self.coeffs:
-            num_gcd = math.gcd(num_gcd, c.numerator * (den_lcm // c.denominator))
-        content = Fraction(num_gcd, den_lcm)
-        if self.coeffs[-1] < 0:
-            content = -content
-        return content, Poly([c / content for c in self.coeffs], var=self.var)
+        if not self.ints:
+            return ZERO, self
+        return self.content, _make(self.ints, ONE, self.var)
+
+
+# -- gcd: images over GF(p), lifted by CRT and rational reconstruction ------
+
+
+def _rem_mod_p(a: list, b: list, p: int) -> list:
+    """Remainder of a by b over GF(p); coefficients lowest degree first,
+    b's leading coefficient nonzero."""
+    a = list(a)
+    inv = pow(b[-1], -1, p)
+    n = len(b) - 1
+    for top in range(len(a) - 1, n - 1, -1):
+        c = a[top] * inv % p
+        if c:
+            lo = top - n
+            a[lo:top] = [(u - c * v) % p for u, v in zip(a[lo:top], b)]
+    del a[n:]
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def gcd_mod_p(a: list, b: list, p: int) -> list:
+    """Monic gcd over GF(p), by Euclid, of two residue lists (lowest degree
+    first) whose leading coefficients are nonzero."""
+    while b:
+        a, b = b, _rem_mod_p(a, b, p)
+    inv = pow(a[-1], -1, p)
+    return [c * inv % p for c in a]
+
+
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin with the first twelve prime bases, which is exact for
+    odd n > 37 below 3.18 * 10^23 (Sorenson and Webster 2015)."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d, s = d >> 1, s + 1
+    for base in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+        y = pow(base, d, n)
+        if y in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            y = y * y % n
+            if y == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _primes():
+    """The primes below 2^61, largest first."""
+    n = 2**61 - 1
+    while True:
+        if _is_prime(n):
+            yield n
+        n -= 2
+
+
+def _rational(c: int, m: int):
+    """The fraction r/s = c mod m with |r|, s <= sqrt(m/2), or None."""
+    bound = math.isqrt(m // 2)
+    r0, r1, s0, s1 = m, c, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if not s1 or abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor of rational-coefficient polynomials."""
+    """Monic greatest common divisor of rational-coefficient polynomials.
+
+    A modular gcd (Geddes, Czapor and Labahn, *Algorithms for Computer
+    Algebra*, ch. 7).  For each prime p dividing neither leading
+    coefficient of the primitive parts A and B, the image gcd(A mod p,
+    B mod p) has degree at least deg gcd(a, b), since the image of the true
+    gcd divides it; images of the least degree seen are combined by CRT
+    and lifted by rational reconstruction.  A lift that divides both a and
+    b is a common divisor of at least the greatest degree, so it is the
+    gcd; otherwise more primes are added.  An image of degree 0 proves a
+    and b coprime.
+    """
     if not a and not b:
         raise InvalidInput("gcd(0, 0) is undefined")
     a._check_var(b)
-    while b:
-        a, b = b, divmod(a, b)[1]
-    return a.monic()
+    if not a or not b:
+        return (a or b).monic()
+    big_a, big_b = a.ints, b.ints
+    leads = big_a[-1] * big_b[-1]
+    image, modulus = None, 1
+    for p in _primes():
+        if not leads % p:
+            continue
+        g = gcd_mod_p([c % p for c in big_a], [c % p for c in big_b], p)
+        if len(g) == 1:
+            return Poly.constant(1, var=a.var)
+        if image is None or len(g) < len(image):
+            image, modulus = g, p
+        elif len(g) > len(image):
+            continue
+        else:
+            step = pow(modulus, -1, p)
+            image = [u + modulus * ((v - u) * step % p)
+                     for u, v in zip(image, g)]
+            modulus *= p
+        lift = [_rational(c, modulus) for c in image]
+        if None in lift:
+            continue
+        candidate = Poly(lift, var=a.var)
+        if not divmod(a, candidate)[1] and not divmod(b, candidate)[1]:
+            return candidate
 
 
 def squarefree_part(a: Poly) -> Poly:

@@ -10,8 +10,9 @@ states its claim as a polynomial identity with cleared denominators.
 
 Coprimality is first certified modulo the one prime p = 2^61 - 1, by Euclid
 over GF(p) (:func:`coprime_mod_p`); only when that certificate declines are
-the two polynomials reduced by a gcd over Q.  The canonical form is unique,
-so both routes reach the same representation.
+the two polynomials reduced by their gcd, which :func:`poly.poly_gcd` finds
+from images over GF(p) for several primes, lifted back to Q.  The canonical
+form is unique, so both routes reach the same representation.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero
-from .poly import Poly, poly_gcd
+from .poly import Poly, gcd_mod_p, poly_gcd
 
 
 # The one prime of the coprimality certificate.
@@ -28,34 +29,12 @@ PRIME = 2**61 - 1
 
 def _residues(p: Poly):
     """The coefficients of ``p`` modulo PRIME, or None when PRIME divides one
-    of their denominators."""
-    out = []
-    for c in p.coeffs:
-        den = c.denominator
-        if den == 1:
-            out.append(c.numerator % PRIME)
-        elif den % PRIME:
-            out.append(c.numerator * pow(den, -1, PRIME) % PRIME)
-        else:
-            return None
-    return out
-
-
-def _rem_mod_p(a: list, b: list) -> list:
-    """Remainder of a by b over GF(PRIME); coefficients lowest degree first,
-    b's leading coefficient nonzero."""
-    a = list(a)
-    inv = pow(b[-1], -1, PRIME)
-    n = len(b) - 1
-    for top in range(len(a) - 1, n - 1, -1):
-        c = a[top] * inv % PRIME
-        if c:
-            lo = top - n
-            a[lo:top] = [(u - c * v) % PRIME for u, v in zip(a[lo:top], b)]
-    del a[n:]
-    while a and not a[-1]:
-        a.pop()
-    return a
+    of their denominators, i.e. the content's denominator."""
+    c = p.content
+    if not c.denominator % PRIME:
+        return None
+    scale = c.numerator * pow(c.denominator, -1, PRIME) % PRIME
+    return [a * scale % PRIME for a in p.ints]
 
 
 def coprime_mod_p(a: Poly, b: Poly) -> bool:
@@ -78,12 +57,7 @@ def coprime_mod_p(a: Poly, b: Poly) -> bool:
     ra, rb = _residues(a), _residues(b)
     if not ra or not rb or not ra[-1] or not rb[-1]:
         return False
-    if len(ra) < len(rb):
-        ra, rb = rb, ra
-    while len(rb) > 1:
-        ra, rb = rb, _rem_mod_p(ra, rb)
-    # A nonzero constant remainder: gcd 1.  A zero one: gcd ra, degree >= 1.
-    return bool(rb)
+    return len(gcd_mod_p(ra, rb, PRIME)) == 1
 
 
 def _as_poly(value, var):

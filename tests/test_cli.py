@@ -160,6 +160,25 @@ class TestVerify:
         assert checks["cover_identity"]
         assert not checks["degree"]
 
+    def test_common_factor_of_high_degree_exits_one(self, capsys, tmp_path):
+        # f1's numerator and denominator share x + 1, so RatFunc reduces it
+        # by a gcd of degree-301 and degree-291 polynomials; Euclid over Q
+        # ran for more than 20 seconds on it.
+        doc = {"source_rhs": "x^5 + x^4 + 9*x^3",
+               "target_rhs": "x^3 + x^2 + x",
+               "f1": "((x+1)*(x^300+3))/((x+1)*((x+2)^290+1))", "f2": "1",
+               "degree": 3}
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "verify", str(path))
+        assert time.perf_counter() - start < 5
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["degree"] == {
+            "name": "degree", "passed": False,
+            "witness": "declared 3, f1 has degree 300"}
+
     def test_uncertified_ramification_shape_exits_one(self, capsys, tmp_path):
         # (x, y) -> (x^2 + x, y) is a cover, but its pullback 2x + 1 is not a
         # monomial, so nothing certifies a unique totally ramified point.

@@ -87,9 +87,12 @@ class TestProduct:
 
             __rmul__ = __mul__
 
-        assert (Poly.monomial(Counting(3), 5) * Poly.monomial(Counting(2), 7)
-                == Poly.monomial(6, 12))
-        assert len(products) == 1
+        # The parser builds x^k densely; its zeros must cost nothing, and
+        # the integer kernel multiplies no Fraction at all.
+        for i, j in ((5, 7), (512, 512)):
+            assert (Poly.monomial(Counting(3), i) * Poly.monomial(Counting(2), j)
+                    == Poly.monomial(6, i + j))
+        assert products == []
 
 
 class TestPower:
@@ -123,6 +126,18 @@ class TestGcd:
     def test_shared_power(self):
         # Euclid by hand: gcd(x^5 + x^4, x^4) = x^4.
         assert poly_gcd(x**5 + x**4, x**4) == x**4
+
+    def test_lift_needs_several_primes(self):
+        # Reconstructing (2^200 + 1)/3 needs a modulus above 2^401.
+        c = x - Fraction(2**200 + 1, 3)
+        assert poly_gcd(c * (x + 1), c * (x + 2)) == c
+
+    def test_unlucky_prime_is_discarded(self):
+        # Modulo p = 2^61 - 1, the first prime tried, x + p is x, so the
+        # first image is x^2 + x; it does not divide, and the next prime's
+        # image has lower degree.
+        p = 2**61 - 1
+        assert poly_gcd((x + 1) * (x + p), (x + 1) * x) == x + 1
 
     def test_both_zero_raises(self):
         with pytest.raises(InvalidInput):
