@@ -29,7 +29,6 @@ from .family import (  # noqa: F401
     j_poly,
     k_poly,
 )
-from .linalg import LinearSystem, solve_exact  # noqa: F401
 from .origami import (  # noqa: F401
     OrigamiDiagram,
     Permutation,

@@ -193,9 +193,9 @@ def cmd_degenerate(args, parser) -> int:
     except OrigamiCoversError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    agrees = report.exact and report.instance == family.build_family(g)
+    agrees = report.exact and report.instance == family.family_instance(g)
     checks = [
-        _check("order_t_system_consistent", True,
+        _check("order_t_system_consistent", report.consistent,
                f"{report.rows}x{report.cols}, nullity {report.nullity}"),
         _check("exact_certificate", report.exact, ""),
         _check("agrees_with_family", agrees, ""),

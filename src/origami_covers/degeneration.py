@@ -12,6 +12,7 @@ then produces the smooth family, whose validity is re-certified exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .curves import (
     Cover,
@@ -27,9 +28,8 @@ from .errors import (
     PipelineError,
 )
 from .family import FamilyInstance, legendre_curve
-from .linalg import LinearSystem, solve_exact
-from .poly import Poly, TPoly, binomial
-from .ratfunc import RatFunc
+from .poly import ZERO, Poly, TPoly, binomial
+from .ratfunc import RatFunc, coprime
 
 UVAR = "u"
 ZVAR = "z"
@@ -108,13 +108,8 @@ def _map_polys(g: int):
     if any(c for c in num.coeffs[0::2]) or any(c for c in den.coeffs[1::2]):
         raise PipelineError("two-branch map lost its odd/even symmetry")
     x_plus_1 = Poly([1, 1])
-    a = Poly([])
-    for i, c in enumerate(num.coeffs[1::2]):
-        a = a + c * x_plus_1**i
-    b = Poly([])
-    for i, c in enumerate(den.coeffs[0::2]):
-        b = b + c * x_plus_1**i
-    return a, b
+    return (Poly(num.coeffs[1::2]).compose(x_plus_1),
+            Poly(den.coeffs[0::2]).compose(x_plus_1))
 
 
 def degenerate_cover(g: int) -> Cover:
@@ -212,7 +207,29 @@ def _perturbed_source(g: int, values: dict) -> TPoly:
                   Poly([0] + [values[name] for name in reversed(names)])])
 
 
-def assemble_deformation_system(g: int, maps=None) -> LinearSystem:
+@dataclass(frozen=True)
+class DeformationSystem:
+    """The order-t linear system as polynomials: column j holds the
+    coefficients of base * x^shift for (base, shift) = columns[j], in
+    :func:`deformation_ansatz` order; ``maps`` is the (A, B) they come from.
+    """
+
+    genus: int
+    maps: tuple
+    columns: tuple
+    rhs: Poly
+
+    @property
+    def rows(self) -> int:
+        return max(p.degree() + s
+                   for p, s in self.columns + ((self.rhs, 0),) if p) + 1
+
+    @property
+    def cols(self) -> int:
+        return len(self.columns)
+
+
+def assemble_deformation_system(g: int, maps=None) -> DeformationSystem:
     """Equate each t*x^i coefficient of the perturbed identity to zero.
 
     The cleared identity is x^(2g-2) N^2 S = X (X + D^2) (X + t D^2) with
@@ -226,7 +243,7 @@ def assemble_deformation_system(g: int, maps=None) -> LinearSystem:
     side is X (X + B^2) B^2.
     """
     _check_genus(g)
-    a, b = maps or _map_polys(g)
+    a, b = maps = maps or _map_polys(g)
     x = Poly.variable()
     big_x = x ** (2 * g - 1)
     lead = x ** (2 * g - 2)
@@ -236,16 +253,118 @@ def assemble_deformation_system(g: int, maps=None) -> LinearSystem:
         raise PipelineError(
             f"degenerate cover identity broke at order t^0 at genus {g}"
         )
-    # (base, shift) per column, in deformation_ansatz order: a_1..a_2g,
-    # e_(g-1)..e_0, n_(g-2)..n_0.
-    columns = [(lead_a_sq, s) for s in range(2 * g, 0, -1)]
-    columns += [(-2 * big_x * big_x * b, d) for d in range(g - 1, -1, -1)]
-    columns += [(2 * lead * a * source, d) for d in range(g - 2, -1, -1)]
-    rhs = big_x * (big_x + b_sq) * b_sq
-    n_rows = max(int(p.degree()) + s for p, s in columns + [(rhs, 0)]) + 1
-    matrix = [[p.coefficient(i - s) for p, s in columns]
-              for i in range(n_rows)]
-    return LinearSystem(matrix, [rhs.coefficient(i) for i in range(n_rows)])
+    den_base = -2 * big_x * big_x * b
+    num_base = 2 * lead * a * source
+    # a_1..a_2g, e_(g-1)..e_0, n_(g-2)..n_0.
+    columns = tuple([(lead_a_sq, s) for s in range(2 * g, 0, -1)]
+                    + [(den_base, d) for d in range(g - 1, -1, -1)]
+                    + [(num_base, d) for d in range(g - 2, -1, -1)])
+    return DeformationSystem(g, maps, columns, big_x * (big_x + b_sq) * b_sq)
+
+
+def certify_nullity(system: DeformationSystem) -> int:
+    """The dimension of the kernel of the order-t system, which is 1.
+
+    Lemma.  Write a vector of unknowns as the polynomials U = sum a_i
+    x^(2g+1-i), V = sum e_d x^d and W = sum n_d x^d, so deg U <= 2g with
+    U(0) = 0, deg V <= g-1 and deg W <= g-2.  By the columns of
+    :func:`assemble_deformation_system`, after dividing by x^(2g-2), it is in
+    the kernel exactly when A^2 U = 2 x^(2g) (B V - A (x+1) W).  Suppose
+    A(0) != 0.  Then x^(2g) divides U, so U = c x^(2g) for a constant c, and
+    2 B V = A (c A + 2 (x+1) W).  Suppose A and B are coprime: then A
+    divides V, and when deg A >= g-1 that makes V = v A for a constant v.
+    Now c A = 2 (v B - (x+1) W); at x = -1 this reads c A(-1) = 2 v B(-1),
+    so when B(-1) != 0 it fixes v = c A(-1) / (2 B(-1)), and then
+    W = (v B - c A/2) / (x+1).  So c determines the vector, and the kernel
+    has dimension at most 1.  The vector with c = 1 is nonzero; checking it
+    against the three column bases by exact multiplication shows the
+    dimension is at least 1.
+
+    Raises :class:`PipelineError` when a hypothesis or the check fails, so
+    no uncertified nullity is ever reported.
+    """
+    g = system.genus
+    a, b = system.maps
+
+    def decline(reason):
+        raise PipelineError(
+            f"nullity certificate declined at genus {g}: {reason}")
+
+    if not a(0):
+        decline("A(0) = 0")
+    if not coprime(a, b):
+        decline("A and B share a factor")
+    if a.degree() < g - 1:
+        decline(f"deg A < {g - 1}")
+    b_at_minus_1 = b(-1)
+    if not b_at_minus_1:
+        decline("B(-1) = 0")
+    v = a(-1) / (2 * b_at_minus_1)
+    v_poly = v * a
+    w_poly = (v * b - a * Fraction(1, 2)).exact_div(Poly([1, 1]))
+    (base_u, _), (base_v, _), (base_w, _) = (
+        system.columns[i] for i in (0, 2 * g, 3 * g))
+    if (v_poly.degree() > g - 1 or w_poly.degree() > g - 2
+            or base_u * Poly.monomial(1, 2 * g) + base_v * v_poly
+            + base_w * w_poly):
+        decline("the kernel vector does not check")
+    return 1
+
+
+@dataclass(frozen=True)
+class DeformationSolution:
+    """Outcome of :func:`solve_exact`.
+
+    ``consistent`` says whether the system has a solution at all.
+    ``solution`` is the one with every map unknown at zero, in
+    :func:`deformation_ansatz` order, or None when there is none (which a
+    consistent system may still have: its solutions then all perturb the
+    map).  ``nullity`` is the certified dimension of the kernel.
+    """
+
+    consistent: bool
+    solution: tuple | None
+    nullity: int
+
+
+def _valuation(p: Poly) -> int:
+    """The lowest exponent with a nonzero coefficient in a nonzero p."""
+    return next(i for i, c in enumerate(p.ints) if c)
+
+
+def solve_exact(system: DeformationSystem) -> DeformationSolution:
+    """Decide the order-t system and solve it with the map unknowns at 0.
+
+    Consistency.  Every column is supported on the exponents low..top
+    between the least valuation and the greatest degree among the columns,
+    so they span a subspace of the polynomials supported there, which has
+    dimension top - low + 1.  When the rank cols - nullity equals that, the
+    span is the whole space, and the system is consistent exactly when rhs
+    is supported there too.
+
+    The solution.  With every e_d and n_d at zero the system is the single
+    identity x^(2g-2) A^2 P = X (X + B^2) B^2 in P = sum a_i x^(2g+1-i), so
+    one exact division solves it: there is such a solution exactly when the
+    remainder is zero and the quotient has the support of P, degree at most
+    2g and no constant term.  On the systems
+    :func:`assemble_deformation_system` builds it is the one wanted, as the
+    map of the smooth family is the degenerate map.
+    """
+    g, columns, rhs = system.genus, system.columns, system.rhs
+    nullity = certify_nullity(system)
+    low = min(_valuation(p) + s for p, s in columns)
+    top = max(p.degree() + s for p, s in columns)
+    if system.cols - nullity != top - low + 1:
+        raise PipelineError(
+            f"order-t columns do not span their support at genus {g}")
+    consistent = not rhs or (_valuation(rhs) >= low and rhs.degree() <= top)
+    quotient, remainder = divmod(rhs, columns[0][0])
+    solution = None
+    if (not remainder and quotient.degree() <= 2 * g
+            and not quotient.coefficient(0)):
+        solution = tuple(quotient.coefficient(s) for _, s in columns[:2 * g])
+        solution += (ZERO,) * (system.cols - 2 * g)
+    return DeformationSolution(consistent, solution, nullity)
 
 
 @dataclass(frozen=True)
@@ -254,7 +373,8 @@ class DeformationReport:
     ansatz: DeformationAnsatz
     rows: int
     cols: int
-    solution: dict
+    consistent: bool
+    solution: dict  # empty when no solution keeps the map unperturbed
     nullity: int
     instance: FamilyInstance | None  # the deformed cover, None if not exact
 
@@ -264,16 +384,11 @@ class DeformationReport:
 
 
 def solve_deformation(g: int, maps=None):
-    """Solve the order-t system; returns (ansatz, system, LinearSolution).
+    """Solve the order-t system; returns (ansatz, system, solution).
 
-    The representative with every map perturbation equal to zero is the one
-    wanted, when the system allows it: the map of the smooth family is
-    expected to coincide with the degenerate map.  One solve finds it.
-    :func:`solve_exact` sets free unknowns to zero and picks pivots left to
-    right, and the curve columns come first and are independent (shifts of
-    one nonzero polynomial), so each becomes a pivot; when the curve columns
-    alone reach the right-hand side, the solution with every free unknown at
-    zero has every map unknown at zero too.
+    The solution is the one :func:`solve_exact` gives, with every map
+    perturbation equal to zero: the map of the smooth family is expected to
+    coincide with the degenerate map.
     """
     ansatz = deformation_ansatz(g)
     system = assemble_deformation_system(g, maps)
@@ -291,8 +406,9 @@ def deform(g: int, solution: dict | None = None, maps=None) -> FamilyInstance:
     maps = maps or _map_polys(g)
     if solution is None:
         ansatz, _, outcome = solve_deformation(g, maps)
-        if not outcome.consistent:
-            raise DeformationFailed(f"order-t system inconsistent at genus {g}")
+        if outcome.solution is None:
+            raise DeformationFailed(
+                f"no order-t solution keeps the map at genus {g}")
         solution = dict(zip(ansatz.unknowns, outcome.solution))
     a_poly, b_poly = maps
     x = Poly.variable()
@@ -316,18 +432,19 @@ def deformation_report(g: int) -> DeformationReport:
     _check_genus(g)
     maps = _map_polys(g)
     ansatz, system, outcome = solve_deformation(g, maps)
-    if not outcome.consistent:
-        raise DeformationFailed(f"order-t system inconsistent at genus {g}")
-    solution = dict(zip(ansatz.unknowns, outcome.solution))
-    try:
-        instance = deform(g, solution=solution, maps=maps)
-    except FirstOrderOnly:
-        instance = None
+    solution, instance = {}, None
+    if outcome.solution is not None:
+        solution = dict(zip(ansatz.unknowns, outcome.solution))
+        try:
+            instance = deform(g, solution=solution, maps=maps)
+        except FirstOrderOnly:
+            pass
     return DeformationReport(
         genus=g,
         ansatz=ansatz,
         rows=system.rows,
         cols=system.cols,
+        consistent=outcome.consistent,
         solution=solution,
         nullity=outcome.nullity,
         instance=instance,

@@ -26,23 +26,19 @@ from .ratfunc import RatFunc
 
 
 def j_poly(g: int) -> Poly:
-    """Sum of binomial(2g-1, 2i) * (x+1)^i for i = 0..g-1, expanded."""
+    """Sum of binomial(2g-1, 2i) * (x+1)^i for i = 0..g-1, expanded by
+    Horner's rule in x+1."""
     _check_genus(g)
-    x_plus_1 = Poly([1, 1])
-    acc = Poly([])
-    for i in range(g):
-        acc = acc + binomial(2 * g - 1, 2 * i) * x_plus_1**i
-    return acc
+    return Poly([binomial(2 * g - 1, 2 * i)
+                 for i in range(g)]).compose(Poly([1, 1]))
 
 
 def k_poly(g: int) -> Poly:
-    """Sum of binomial(2g-1, 2i+1) * (x+1)^i for i = 0..g-1, expanded."""
+    """Sum of binomial(2g-1, 2i+1) * (x+1)^i for i = 0..g-1, expanded by
+    Horner's rule in x+1."""
     _check_genus(g)
-    x_plus_1 = Poly([1, 1])
-    acc = Poly([])
-    for i in range(g):
-        acc = acc + binomial(2 * g - 1, 2 * i + 1) * x_plus_1**i
-    return acc
+    return Poly([binomial(2 * g - 1, 2 * i + 1)
+                 for i in range(g)]).compose(Poly([1, 1]))
 
 
 def _check_genus(g: int):
@@ -100,8 +96,8 @@ def family_source_curve(g: int) -> HyperellipticCurve:
     return HyperellipticCurve(TPoly([x_x1 * x ** (2 * g - 1), x_x1 * j * j]))
 
 
-def build_family(g: int) -> FamilyInstance:
-    """Construct and certify the genus-g family cover."""
+def family_instance(g: int) -> FamilyInstance:
+    """The genus-g family cover, constructed but not certified."""
     _check_genus(g)
     j = j_poly(g)
     k = k_poly(g)
@@ -114,7 +110,13 @@ def build_family(g: int) -> FamilyInstance:
         map=CoverMap(f1=f1, f2=f2),
         degree=2 * g - 1,
     )
-    if not verify_cover_identity(cover):
-        raise PipelineError(f"family cover identity failed at genus {g}")
-    ramification_report(cover)
     return FamilyInstance(genus=g, j=j, k=k, cover=cover)
+
+
+def build_family(g: int) -> FamilyInstance:
+    """Construct and certify the genus-g family cover."""
+    inst = family_instance(g)
+    if not verify_cover_identity(inst.cover):
+        raise PipelineError(f"family cover identity failed at genus {g}")
+    ramification_report(inst.cover)
+    return inst

@@ -60,6 +60,12 @@ def coprime_mod_p(a: Poly, b: Poly) -> bool:
     return len(gcd_mod_p(ra, rb, PRIME)) == 1
 
 
+def coprime(a: Poly, b: Poly) -> bool:
+    """True when a and b are coprime over Q: by :func:`coprime_mod_p`, or
+    by their gcd over Q when that certificate declines."""
+    return coprime_mod_p(a, b) or poly_gcd(a, b).degree() == 0
+
+
 def _as_poly(value, var):
     if isinstance(value, Poly):
         return value

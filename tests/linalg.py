@@ -1,4 +1,5 @@
-"""Exact linear solving by fraction-free (Bareiss-style) elimination.
+"""Exact linear solving by fraction-free (Bareiss-style) elimination, kept
+as a differential oracle for ``degeneration.solve_exact``.
 
 Rows are scaled to integers up front; the elimination then stays in integer
 arithmetic, and the back-substitution produces exact rational solutions.

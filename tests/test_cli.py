@@ -1,10 +1,12 @@
+import dataclasses
 import json
 import time
 
 import pytest
 
-from origami_covers import degeneration, family, ratfunc
+from origami_covers import cli, degeneration, family, ratfunc
 from origami_covers.cli import main
+from origami_covers.poly import Poly
 
 
 def run(capsys, *argv):
@@ -265,6 +267,44 @@ class TestDegenerate:
 
     def test_no_gcd_over_q(self, capsys, monkeypatch):
         assert gcd_calls(capsys, monkeypatch, "degenerate", "--genus", "8") == 0
+
+    def test_one_identity_check_and_no_family_build(self, capsys,
+                                                    monkeypatch):
+        calls = []
+        for module, name in ((degeneration, "verify_cover_identity"),
+                             (family, "verify_cover_identity"),
+                             (cli, "verify_cover_identity"),
+                             (family, "build_family")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        code, _, _ = run(capsys, "degenerate", "--genus", "3")
+        assert code == 0
+        assert calls == ["verify_cover_identity"]
+
+    @pytest.mark.parametrize("exponent, consistent", [(0, False), (5, True)],
+                             ids=["inconsistent", "map-perturbing"])
+    def test_changed_right_hand_side_fails(self, capsys, monkeypatch,
+                                           exponent, consistent):
+        # At genus 3 no column reaches x^0, and every solution of the system
+        # changed at x^5 perturbs the map: either way there is no deformed
+        # cover, and the consistency check reports which case it is.
+        def changed(g, maps=None, _assemble=degeneration
+                    .assemble_deformation_system):
+            system = _assemble(g, maps)
+            return dataclasses.replace(
+                system, rhs=system.rhs + Poly.monomial(1, exponent))
+        monkeypatch.setattr(degeneration, "assemble_deformation_system",
+                            changed)
+        code, out, _ = run(capsys, "degenerate", "--genus", "3")
+        assert code == 1
+        doc = json.loads(out)
+        checks = {c["name"]: c["passed"] for c in doc["checks"]}
+        assert checks == {"order_t_system_consistent": consistent,
+                          "exact_certificate": False,
+                          "agrees_with_family": False}
+        assert doc["coefficients"] == {} and doc["curve"] is None
 
     def test_genus_one_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

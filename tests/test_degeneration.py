@@ -1,12 +1,17 @@
+import dataclasses
+import re
 from fractions import Fraction
 
 import pytest
 
+from linalg import LinearSystem
+from linalg import solve_exact as bareiss
 from origami_covers import degeneration
 from origami_covers.curves import Cover, CoverMap, verify_cover_identity
 from origami_covers.degeneration import (
     _map_polys,
     assemble_deformation_system,
+    certify_nullity,
     deform,
     deformation_ansatz,
     deformation_report,
@@ -17,16 +22,32 @@ from origami_covers.degeneration import (
     normalize_nodal_cubic,
     pipeline_closure,
     solve_deformation,
+    solve_exact,
     two_branch_map,
 )
-from origami_covers.errors import FirstOrderOnly, InvalidDegree, InvalidGenus
+from origami_covers.errors import (
+    FirstOrderOnly,
+    InvalidDegree,
+    InvalidGenus,
+    PipelineError,
+)
 from origami_covers.family import build_family
-from origami_covers.linalg import solve_exact
 from origami_covers.poly import Poly, TPoly
 from origami_covers.ratfunc import RatFunc
 from origami_covers.selftest import check_two_branch_map
 
 z = Poly.variable("z")
+x = Poly.variable()
+
+
+def densify(system):
+    """The polynomial system as a dense :class:`linalg.LinearSystem`: row i
+    holds the x^i coefficients of the columns and of the right-hand side."""
+    rows = range(system.rows)
+    return LinearSystem(
+        [[p.coefficient(i - s) for p, s in system.columns] for i in rows],
+        [system.rhs.coefficient(i) for i in rows],
+    )
 
 
 class TestNormalizations:
@@ -179,7 +200,7 @@ class TestDeformation:
         base = _order_t_residual(g, zero)
         columns = [_order_t_residual(g, dict(zero, **{name: Fraction(1)}))
                    - base for name in names]
-        system = assemble_deformation_system(g)
+        system = densify(assemble_deformation_system(g))
         n_rows = max(p.degree() for p in columns + [base]) + 1
         assert system.rows == n_rows
         for i in range(n_rows):
@@ -207,7 +228,7 @@ class TestDeformation:
         assert outcome.nullity == 1
 
     def test_system_solution_satisfies_system(self):
-        system = assemble_deformation_system(2)
+        system = densify(assemble_deformation_system(2))
         _, _, outcome = solve_deformation(2)
         for row, rhs in zip(system.matrix, system.rhs):
             assert sum(c * v for c, v in zip(row, outcome.solution)) == rhs
@@ -215,8 +236,8 @@ class TestDeformation:
     def test_unpinned_solution_also_valid(self):
         # The raw solve (free variables zeroed) must still satisfy the system
         # even though it lands on a different representative.
-        system = assemble_deformation_system(2)
-        outcome = solve_exact(system)
+        system = densify(assemble_deformation_system(2))
+        outcome = bareiss(system)
         assert outcome.consistent
         for row, rhs in zip(system.matrix, system.rhs):
             assert sum(c * v for c, v in zip(row, outcome.solution)) == rhs
@@ -241,3 +262,52 @@ class TestDeformation:
     def test_bad_genus(self):
         with pytest.raises(InvalidGenus):
             deform(1)
+
+
+class TestSolverAgainstBareiss:
+    """``solve_exact`` (one division and the nullity certificate) against
+    Bareiss elimination of the densified system."""
+
+    @pytest.mark.parametrize("g", range(2, 17))
+    def test_agrees_on_the_assembled_system(self, g):
+        system = assemble_deformation_system(g)
+        ours, dense = solve_exact(system), bareiss(densify(system))
+        assert ours.consistent == dense.consistent
+        assert ours.solution == dense.solution
+        assert ours.nullity == dense.nullity == 1
+
+    @pytest.mark.parametrize("g", [2, 3, 4])
+    def test_agrees_on_consistency_with_one_coefficient_changed(self, g):
+        # Below x^(2g-1) no column reaches, so the change is inconsistent;
+        # from there on the columns span every coefficient, and the changed
+        # system is consistent though its solutions all perturb the map.
+        system = assemble_deformation_system(g)
+        for i in range(system.rows + 1):
+            changed = dataclasses.replace(
+                system, rhs=system.rhs + Poly.monomial(1, i))
+            ours, dense = solve_exact(changed), bareiss(densify(changed))
+            assert ours.consistent == dense.consistent
+            assert ours.consistent == (2 * g - 1 <= i < system.rows)
+            assert ours.solution is None
+            assert ours.nullity == dense.nullity
+
+
+class TestNullityCertificate:
+    @pytest.mark.parametrize("g", [2, 3, 8])
+    def test_certifies_one(self, g):
+        assert certify_nullity(assemble_deformation_system(g)) == 1
+
+    @pytest.mark.parametrize("breakage, reason", [
+        (lambda a, b: (x * a, b), "A(0) = 0"),
+        (lambda a, b: ((x + 2) * a, (x + 2) * b), "A and B share a factor"),
+        (lambda a, b: (Poly([1]), b), "deg A < 2"),
+        (lambda a, b: (a, (x + 1) * b), "B(-1) = 0"),
+        # 2B halves v = A(-1) / (2B(-1)), so V = vA misses the kernel.
+        (lambda a, b: (a, 2 * b), "the kernel vector does not check"),
+    ], ids=["A(0)", "common-factor", "deg-A", "B(-1)", "wrong-v"])
+    def test_declines_when_a_hypothesis_fails(self, breakage, reason):
+        # The columns stay those of the true (A, B).
+        system = assemble_deformation_system(3)
+        broken = dataclasses.replace(system, maps=breakage(*system.maps))
+        with pytest.raises(PipelineError, match=re.escape(reason)):
+            certify_nullity(broken)

@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import rationals
-from origami_covers.linalg import LinearSystem, solve_exact
+from linalg import LinearSystem, solve_exact
 
 
 class TestConstruction:
