@@ -6,16 +6,23 @@ with ``^`` restricted to nonnegative integer literal exponents.
 
 Input size is capped before any arithmetic runs: an exponent literal may not
 pass :data:`MAX_PARSE_DEGREE`, and neither may the degree of any numerator or
-denominator built while parsing (a part that involves ``t`` may have at most
-``MAX_PARSE_DEGREE + 1`` rational coefficients in all).  Coefficients are
-capped at :data:`MAX_COEFF_BITS` bits: integer literals by their digit count,
-products and powers by a bound on their coefficients taken before multiplying.
-So no text can make the parser run for long.  Breaking a cap raises
+denominator built while parsing, finished sums included (a part that involves
+``t`` may have at most ``MAX_PARSE_DEGREE + 1`` rational coefficients in
+all).  Coefficients are capped at :data:`MAX_COEFF_BITS` bits: integer
+literals by their digit count, products and powers by a bound on their
+coefficients taken before multiplying, and sums once they are finished.  So
+no text can make the parser run for long.  Breaking a cap raises
 :class:`ParseError`.
 
-Expressions are built as quotients of :class:`~origami_covers.poly.TPoly`
-values, so ``t`` is one more part rather than a coefficient type; text without
-``t`` parses to a plain :class:`~origami_covers.poly.Poly`.
+A product, or quotient by a constant, of literals, ``x``, ``t`` and their
+powers is one monomial c * t^a * x^b, computed on (c, a, b) by integer
+arithmetic.  A sum merges its monomial terms by (a, b) and builds one
+polynomial when it ends, so reading a sum of monomials multiplies no
+polynomials.  Anything else (a product with a parenthesized sum, a quotient
+by a polynomial, a power of a sum) is a quotient of two
+:class:`~origami_covers.poly.TPoly` values, so ``t`` is one more part rather
+than a coefficient type; text without ``t`` parses to a plain
+:class:`~origami_covers.poly.Poly`.
 
 Printing a polynomial or rational function and parsing the result is the
 identity; the printer is the single source of the canonical text form used in
@@ -24,8 +31,10 @@ the JSON interchange documents.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import ParseError
 from .poly import Poly, TPoly, TVAR
@@ -73,14 +82,18 @@ def _shape(p: TPoly):
     return max(p.degree(), 0), max(len(p.parts) - 1, 0)
 
 
+def _bits(n: int) -> int:
+    """ceil(log2 |n|), or 0 when |n| <= 1."""
+    return max(abs(n) - 1, 0).bit_length()
+
+
 def _norm_bits(p: TPoly) -> int:
     """ceil(log2) of the sum of |coefficient| (all integers while parsing).
 
     The sum bounds every coefficient, and a * b stays within _norm_bits(a) +
     _norm_bits(b) bits, a^n within n * _norm_bits(a)."""
-    norm = sum(abs(part.content.numerator) * sum(map(abs, part.ints))
-               for part in p.parts)
-    return max(norm - 1, 0).bit_length()
+    return _bits(sum(abs(part.content.numerator) * sum(map(abs, part.ints))
+                     for part in p.parts))
 
 
 def _check_size(x_degree, t_degree, bits):
@@ -107,6 +120,58 @@ def _pow(a: TPoly, n: int) -> TPoly:
     return a**n
 
 
+class _Mono(NamedTuple):
+    """The monomial c * t^a * x^b, with c an int or Fraction; zero is
+    (0, 0, 0).
+
+    Products, quotients by constants and powers of monomials work on
+    (c, a, b) alone, each refused first, as by _mul and _pow, when the
+    numerator or denominator of the result would break a cap."""
+
+    c: int | Fraction
+    a: int = 0
+    b: int = 0
+
+    def __mul__(self, other):
+        (c, a, b), (d, e, f) = self, other
+        _check_size(b + f, a + e,
+                    max(_bits(c.numerator) + _bits(d.numerator),
+                        _bits(c.denominator) + _bits(d.denominator)))
+        c *= d
+        return _Mono(c, a + e, b + f) if c else _Mono(0)
+
+    def __pow__(self, n):
+        c, a, b = self
+        _check_size(b * n, a * n,
+                    max(_bits(c.numerator), _bits(c.denominator)) * n)
+        return _Mono(c**n, a * n, b * n)
+
+    def __neg__(self):
+        return self._replace(c=-self.c)
+
+
+def _sum_expr(terms: dict, den: int, var: str) -> "_Expr":
+    """The sum of the monomials c * t^a * x^b in ``terms`` {(a, b): c}, as
+    one quotient by ``den``, a common denominator of every c."""
+    rows = {}   # a -> the integer coefficients of t^a, over den
+    for (a, b), c in terms.items():
+        if c:
+            row = rows.setdefault(a, [])
+            row.extend([0] * (b + 1 - len(row)))
+            row[b] = c.numerator * (den // c.denominator)
+    parts = [Poly(rows.get(a, ()), var=var)
+             for a in range(max(rows, default=-1) + 1)]
+    return _Expr(TPoly(parts, var=var),
+                 TPoly([Poly.constant(den, var=var)], var=var))
+
+
+def _as_expr(value, var: str) -> "_Expr":
+    if isinstance(value, _Mono):
+        return _sum_expr({(value.a, value.b): value.c}, value.c.denominator,
+                         var)
+    return value
+
+
 class _Expr:
     """A quotient of two polynomials in Q[t][x] built up during parsing."""
 
@@ -121,9 +186,6 @@ class _Expr:
             _mul(self.num, other.den) + _mul(other.num, self.den),
             _mul(self.den, other.den),
         )
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def __mul__(self, other):
         return _Expr(_mul(self.num, other.num), _mul(self.den, other.den))
@@ -141,6 +203,9 @@ class _Expr:
 
 
 class _Parser:
+    """Recursive descent; a value is a :class:`_Mono` while the text builds
+    a monomial and an :class:`_Expr` otherwise."""
+
     def __init__(self, tokens, var):
         self.tokens = tokens
         self.pos = 0
@@ -164,31 +229,61 @@ class _Parser:
         kind, value = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input starting at {value!r}")
-        return expr
+        return _as_expr(expr, self.var)
 
-    def expr(self) -> _Expr:
+    def expr(self):
+        """A sum.  Its monomial terms merge by (a, b) into one table, which
+        becomes one polynomial when the sum ends; other terms are added as
+        quotients.  The finished numerator is checked against the caps."""
         value = self.term()
+        kind, op = self.peek()
+        if kind != "op" or op not in "+-":
+            return value
+        terms, den, others = {}, 1, []
         while True:
-            kind, op = self.peek()
-            if kind == "op" and op in "+-":
-                self.next()
-                rhs = self.term()
-                value = value + rhs if op == "+" else value - rhs
+            if isinstance(value, _Mono):
+                key = (value.a, value.b)
+                terms[key] = terms.get(key, 0) + value.c
+                if value.c.denominator != 1:
+                    # den is the finished sum's denominator and only grows,
+                    # so its cap is checked as it grows.
+                    den = math.lcm(den, value.c.denominator)
+                    _check_size(0, 0, _bits(den))
             else:
-                return value
+                others.append(value)
+            kind, op = self.peek()
+            if kind != "op" or op not in "+-":
+                break
+            self.next()
+            value = self.term() if op == "+" else -self.term()
+        if terms:
+            others.append(_sum_expr(terms, den, self.var))
+        total = others[0]
+        for value in others[1:]:
+            total = total + value
+        _check_size(*_shape(total.num), _norm_bits(total.num))
+        return total
 
-    def term(self) -> _Expr:
+    def term(self):
         value = self.unary()
         while True:
             kind, op = self.peek()
-            if kind == "op" and op in "*/":
-                self.next()
-                rhs = self.unary()
-                value = value * rhs if op == "*" else value / rhs
-            else:
+            if kind != "op" or op not in "*/":
                 return value
+            self.next()
+            rhs = self.unary()
+            if isinstance(value, _Mono) and isinstance(rhs, _Mono) and (
+                    op == "*" or not (rhs.a or rhs.b)):
+                if op == "/":
+                    if not rhs.c:
+                        raise ParseError("division by zero in expression")
+                    rhs = _Mono(Fraction(rhs.c.denominator, rhs.c.numerator))
+                value = value * rhs
+            else:
+                value, rhs = _as_expr(value, self.var), _as_expr(rhs, self.var)
+                value = value * rhs if op == "*" else value / rhs
 
-    def unary(self) -> _Expr:
+    def unary(self):
         kind, op = self.peek()
         if kind == "op" and op == "-":
             self.next()
@@ -198,7 +293,7 @@ class _Parser:
             return self.unary()
         return self.power()
 
-    def power(self) -> _Expr:
+    def power(self):
         base = self.atom()
         kind, op = self.peek()
         if kind == "op" and op == "^":
@@ -213,24 +308,21 @@ class _Parser:
             return base**exponent
         return base
 
-    def atom(self) -> _Expr:
+    def atom(self):
         kind, value = self.next()
         if kind == "int":
-            parts = [Poly.constant(value, var=self.var)]
-        elif kind == "name" and value == self.var:
-            parts = [Poly.variable(self.var)]
-        elif kind == "name" and value == TVAR:
-            parts = [Poly([], var=self.var), Poly.constant(1, var=self.var)]
-        elif kind == "name":
+            return _Mono(value)
+        if kind == "name" and value == self.var:
+            return _Mono(1, 0, 1)
+        if kind == "name" and value == TVAR:
+            return _Mono(1, 1, 0)
+        if kind == "name":
             raise ParseError(f"unknown variable {value!r}")
-        elif kind == "op" and value == "(":
+        if kind == "op" and value == "(":
             inner = self.expr()
             self.expect_op(")")
             return inner
-        else:
-            raise ParseError(f"unexpected token {value!r}")
-        one = TPoly([Poly.constant(1, var=self.var)], var=self.var)
-        return _Expr(TPoly(parts, var=self.var), one)
+        raise ParseError(f"unexpected token {value!r}")
 
 
 def parse_expression(text: str, var: str = "x") -> _Expr:

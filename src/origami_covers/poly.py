@@ -261,10 +261,12 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_var(other)
-        if not self.ints or not other.ints:
+        a, b = self.ints, other.ints
+        if not a or not b:
             return _make((), ZERO, self.var)
-        return _make(_kronecker(self.ints, other.ints),
-                     self.content * other.content, self.var)
+        # A constant's primitive part is (1,), which multiplies as 1.
+        ints = b if a == (1,) else a if b == (1,) else _kronecker(a, b)
+        return _make(ints, self.content * other.content, self.var)
 
     __rmul__ = __mul__
 

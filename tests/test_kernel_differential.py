@@ -3,7 +3,8 @@ schoolbook Fraction kernel in ``fraction_kernel``.
 
 The coefficients mix small rationals, negative values, runs of zeros,
 distinct denominators and magnitudes at +-(2^(8k) - 1) and +-2^(8k), where a
-product's slot width in bytes changes, and operands may have length 1.
+product's slot width in bytes changes, and operands may have length 1,
+including a constant on either side of a product.
 """
 
 from fractions import Fraction
@@ -49,6 +50,14 @@ def test_product(a, b):
     product = Poly(a) * Poly(b)
     assert product.coeffs == fk.mul(a, b)
     assert all(type(c) is int for c in product.ints)
+
+
+@given(a=coefficient_lists, c=coefficients.filter(bool))
+@example(a=fk.trim([3, 0, -6]), c=Fraction(-1, 2))
+def test_product_by_a_constant(a, c):
+    # A constant's primitive part is (1,), and the product skips the kernel.
+    assert (Poly(a) * Poly([c])).coeffs == fk.mul(a, [c])
+    assert (Poly([c]) * Poly(a)).coeffs == fk.mul([c], a)
 
 
 @given(a=coefficient_lists, b=coefficient_lists)

@@ -1,9 +1,12 @@
+import itertools
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
 from conftest import polys, tpolys
+from origami_covers import parsing
 from origami_covers.errors import ParseError
 from origami_covers.family import j_poly
 from origami_covers.parsing import (
@@ -84,10 +87,65 @@ class TestDegreeCap:
         with pytest.raises(ParseError, match="limit"):
             parse_poly(text)
 
+    @pytest.mark.parametrize("terms", [
+        ("x^512", "t", "1"),
+        ("x^512", "t"),
+        ("(x + 1)^512", "t"),
+        ("x^256*x^256", "-t"),
+    ])
+    def test_over_the_cap_sum_is_refused_in_any_order(self, terms):
+        # The finished sum is checked, not only the operands of products.
+        for order in itertools.permutations(terms):
+            with pytest.raises(ParseError, match="degree limit"):
+                parse_poly(" + ".join(order))
+
+    def test_sum_at_the_cap_is_accepted(self):
+        # (255 + 1) * (1 + 1) = 512 dense coefficients.
+        p = parse_poly("t*x^255 + x^255 + t + 1")
+        assert p.parts == (x**255 + 1, x**255 + 1)
+
     def test_largest_generated_coefficients_parse_back(self):
         # j^3 at the default --max-genus of 64 holds 478-bit coefficients.
         p = j_poly(64) ** 3
         assert parse_poly(format_poly(p)) == p
+
+
+class TestMonomialTerms:
+    """Terms built from literals, x, t and their powers are computed on
+    (coefficient, t-degree, x-degree) without building a polynomial."""
+
+    @pytest.mark.parametrize("text", [
+        "2^4097*x",
+        "(2^512)^9*x",
+        "(1/2^512)^9*x",
+        "x^600/4",
+        "t^513*x",
+        "3*t*x^300*t",
+        "((2^512)^512)^512*x",
+    ])
+    def test_refused_before_any_polynomial_is_built(self, text, monkeypatch):
+        def no_polynomials(*args, **kwargs):
+            raise AssertionError("a polynomial was built")
+
+        monkeypatch.setattr(parsing, "Poly", no_polynomials)
+        monkeypatch.setattr(parsing, "TPoly", no_polynomials)
+        with pytest.raises(ParseError, match="limit"):
+            parse_poly(text)
+
+    def test_zero_coefficient_has_no_degree(self):
+        # 0*x^500 is the zero monomial, so the product stays under the cap.
+        assert parse_poly("0*x^500*x^500") == Poly([])
+
+    def test_long_sum_parses_in_linear_time(self):
+        terms = [(k % 97, k % 2, k % 200) for k in range(5000)]
+        text = " + ".join(f"{c}*t^{a}*x^{b}" for c, a, b in terms)
+        expected = [[0] * 200, [0] * 200]
+        for c, a, b in terms:
+            expected[a][b] += c
+        start = time.perf_counter()
+        p = parse_poly(text)
+        assert time.perf_counter() - start < 1.0
+        assert p.parts == (Poly(expected[0]), Poly(expected[1]))
 
 
 class TestParseRatFunc:

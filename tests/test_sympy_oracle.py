@@ -1,6 +1,7 @@
 """Cross-checks of the gcd, squarefree and genus helpers, of RatFunc's
 canonical form and coprimality certificate, of the pullback differential,
-and of Q[t][x] arithmetic and text, against sympy.
+of Q[t][x] arithmetic and text, and of the parser on random texts, against
+sympy.
 
 sympy is an independent oracle for the tests only; the package itself has
 no runtime dependency on it.
@@ -8,6 +9,7 @@ no runtime dependency on it.
 
 import pytest
 from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from conftest import nonzero_polys, polys, rationals, tpolys
 from origami_covers.curves import (
@@ -19,7 +21,12 @@ from origami_covers.curves import (
     specialize_t,
 )
 from origami_covers.family import build_family, family_source_curve
-from origami_covers.parsing import format_poly, parse_poly
+from origami_covers.parsing import (
+    format_poly,
+    format_ratfunc,
+    parse_poly,
+    parse_ratfunc,
+)
 from origami_covers.poly import Poly, TPoly, poly_gcd, squarefree_part
 from origami_covers.ratfunc import RatFunc, coprime_mod_p
 
@@ -183,3 +190,98 @@ def test_tpoly_text_matches_sympy(p):
     assert sympy.Poly(ours, X, T, domain=sympy.QQ) == tpoly_to_sympy(p)
     theirs = str(tpoly_to_sympy(p).as_expr()).replace("**", "^")
     assert parse_poly(theirs) == p
+
+
+# -- random texts for the parser ----------------------------------------------
+#
+# A sum of at most four terms, joined by + or - with loose or no spacing.  A
+# term is an optional chain of unary signs, one or two factors joined by *,
+# and an optional divisor.  Factors are integer literals, rationals such as
+# 3/4, x, t, their powers, and (at depth 1) a sum in one or two pairs of
+# parentheses or a small power of one.  A term's degree stays at most 24 in x
+# and 8 in t, well inside the parser's caps, and divisors are nonzero, so
+# every text parses.
+
+SEPARATORS = st.sampled_from(["", " ", "  "])
+SIGNS = st.sampled_from(["", "", "-", "--", "+", "+-", "- -"])
+
+
+def sympy_of(text):
+    return sympy.sympify(text.replace("^", "**"), locals={"x": X, "t": T})
+
+
+def nonzero_text(text):
+    return sympy.expand(sympy_of(text)) != 0
+
+
+@st.composite
+def factor_texts(draw, depth, with_t):
+    kinds = ["int", "rational", "x", "x-power"]
+    kinds += ["t", "t-power"] if with_t else []
+    kinds += ["sum", "sum-power"] if depth else []
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return str(draw(st.integers(0, 12)))
+    if kind == "rational":
+        return f"{draw(st.integers(0, 9))}/{draw(st.integers(1, 9))}"
+    if kind in ("x", "t"):
+        return kind
+    if kind == "x-power":
+        return f"x^{draw(st.integers(0, 3))}"
+    if kind == "t-power":
+        return f"t^{draw(st.integers(0, 1))}"
+    inner = f"({draw(sum_texts(depth - 1, with_t))})"
+    if kind == "sum":
+        return draw(st.sampled_from([inner, f"({inner})", f"(-{inner})"]))
+    return f"{inner}^{draw(st.integers(0, 2))}"
+
+
+@st.composite
+def term_texts(draw, depth, with_t, divisors):
+    """One term; its divisors are nonzero literals, or nonzero t-free sums
+    when ``divisors`` is set."""
+    sep = draw(SEPARATORS)
+    text = draw(SIGNS) + draw(factor_texts(depth, with_t))
+    if draw(st.booleans()):
+        text += f"{sep}*{sep}{draw(factor_texts(depth, with_t))}"
+    if draw(st.booleans()):
+        if divisors:
+            divisor = draw(sum_texts(0, False).filter(nonzero_text))
+            text += f"{sep}/{sep}({divisor})"
+        else:
+            text += f"{sep}/{sep}{draw(st.integers(1, 9))}"
+    return text
+
+
+@st.composite
+def sum_texts(draw, depth=1, with_t=True, divisors=False):
+    terms = draw(st.lists(term_texts(depth, with_t, divisors),
+                          min_size=1, max_size=4))
+    sep = draw(SEPARATORS)
+    text = terms[0]
+    for term in terms[1:]:
+        text += f"{sep}{draw(st.sampled_from('+-'))}{sep}{term}"
+    return text
+
+
+@given(text=sum_texts())
+def test_parse_poly_matches_sympy(text):
+    ours = parse_poly(text)
+    assert tpoly_to_sympy(ours) == sympy.Poly(sympy_of(text), X, T,
+                                              domain=sympy.QQ)
+    assert parse_poly(format_poly(ours)) == ours
+
+
+@given(terms=st.lists(term_texts(1, True, False), min_size=1, max_size=6),
+       data=st.data())
+def test_parse_poly_ignores_term_order(terms, data):
+    # Repeated exponents are common among six short terms.
+    shuffled = data.draw(st.permutations(terms))
+    assert parse_poly(" + ".join(shuffled)) == parse_poly(" + ".join(terms))
+
+
+@given(text=sum_texts(with_t=False, divisors=True))
+def test_parse_ratfunc_matches_sympy(text):
+    ours = parse_ratfunc(text)
+    assert as_pair(ours) == canonical_pair(sympy_of(text))
+    assert parse_ratfunc(format_ratfunc(ours)) == ours
