@@ -5,24 +5,29 @@ otherwise), the parameter ``t``, the operators ``+ - * / ^`` and parentheses,
 with ``^`` restricted to nonnegative integer literal exponents.
 
 Input size is capped before any arithmetic runs: an exponent literal may not
-pass :data:`MAX_PARSE_DEGREE`, and neither may the degree of any numerator or
-denominator built while parsing, finished sums included (a part that involves
-``t`` may have at most ``MAX_PARSE_DEGREE + 1`` rational coefficients in
-all).  Coefficients are capped at :data:`MAX_COEFF_BITS` bits: integer
-literals by their digit count, products and powers by a bound on their
-coefficients taken before multiplying, and sums once they are finished.  So
-no text can make the parser run for long.  Breaking a cap raises
-:class:`ParseError`.
+pass :data:`MAX_PARSE_DEGREE`, and neither may the degree of any product,
+power or denominator built while parsing, or of any finished sum (a part that
+involves ``t`` may have at most ``MAX_PARSE_DEGREE + 1`` rational
+coefficients in all).  Coefficients are capped at :data:`MAX_COEFF_BITS`
+bits: integer literals by their digit count, products and powers by a bound
+on their coefficients taken before multiplying, and sums once they are
+finished.  So no text can make the parser run for long.  Breaking a cap
+raises :class:`ParseError`.
 
-A product, or quotient by a constant, of literals, ``x``, ``t`` and their
-powers is one monomial c * t^a * x^b, computed on (c, a, b) by integer
-arithmetic.  A sum merges its monomial terms by (a, b) and builds one
-polynomial when it ends, so reading a sum of monomials multiplies no
-polynomials.  Anything else (a product with a parenthesized sum, a quotient
-by a polynomial, a power of a sum) is a quotient of two
-:class:`~origami_covers.poly.TPoly` values, so ``t`` is one more part rather
-than a coefficient type; text without ``t`` parses to a plain
-:class:`~origami_covers.poly.Poly`.
+The text is split into tokens by one regular-expression scan.  A product of
+literals, ``x``, ``t`` and their powers, each factor maybe divided by a
+constant factor (``/`` takes one factor, so ``1/2*x`` is ``x/2``), is one
+monomial c * t^a * x^b, computed on (c, a, b) by integer arithmetic.  A sum
+merges its monomial terms by (a, b) and builds one polynomial when it ends,
+so reading a sum of monomials multiplies no polynomials.  Anything else (a
+product with a parenthesized sum, a quotient by a polynomial, a power of a
+sum) is a quotient of two :class:`~origami_covers.poly.TPoly` values, so
+``t`` is one more part rather than a coefficient type; text without ``t``
+parses to a plain :class:`~origami_covers.poly.Poly`.  The quotients of one
+sum are grouped by denominator: numerators over equal denominators are
+added, and the product of the distinct denominators is checked against the
+caps before any cross product, so whether a sum is accepted does not depend
+on the order of its terms.
 
 Printing a polynomial or rational function and parsing the result is the
 identity; the printer is the single source of the canonical text form used in
@@ -34,10 +39,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import ParseError
-from .poly import Poly, TPoly, TVAR
+from .poly import ONE, Poly, TPoly, TVAR, _normal
 from .ratfunc import RatFunc
 
 # 512 is above the 3(g-1) = 189 that the denominator j^3 of f2 reaches at the
@@ -48,33 +52,33 @@ MAX_PARSE_DEGREE = 512
 # bits at which CPython refuses to convert an int to or from decimal text.
 MAX_COEFF_BITS = 4096
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+)|([-+*/^()]))")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+|[-+*/^()])|(\S))")
+# d digits stay below 10^d < 2^(10d/3), so a literal of at most this many
+# digits is within MAX_COEFF_BITS; checked before int() runs.
+_MAX_DIGITS = 3 * MAX_COEFF_BITS // 10
 
 
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ParseError(f"unexpected character {rest[0]!r} at position {pos}")
-        if m.group(1) is not None:
-            # d digits stay below 10^d < 2^(10d/3); checked before int() runs.
-            if 10 * len(m.group(1)) > 3 * MAX_COEFF_BITS:
-                raise ParseError(
-                    f"integer literal exceeds the limit {MAX_COEFF_BITS} bits"
-                )
-            tokens.append(("int", int(m.group(1))))
-        elif m.group(2) is not None:
-            tokens.append(("name", m.group(2)))
-        else:
-            tokens.append(("op", m.group(3)))
-        pos = m.end()
-    tokens.append(("end", None))
+def _tokenize(text: str) -> list:
+    """The tokens of ``text`` (int literals, names and operator characters),
+    then None."""
+    tokens = [word or (int(digits) if 0 < len(digits) <= _MAX_DIGITS
+                       else _token_error(text))
+              for digits, word, _ in _TOKEN_RE.findall(text)]
+    tokens.append(None)
     return tokens
+
+
+def _token_error(text: str):
+    """Raise for the first bad character or over-long literal in ``text``;
+    a token starts where the previous one ends, spaces included."""
+    for m in _TOKEN_RE.finditer(text):
+        digits, _, bad = m.groups()
+        if bad:
+            raise ParseError(
+                f"unexpected character {bad!r} at position {m.start()}")
+        if digits and len(digits) > _MAX_DIGITS:
+            raise ParseError(
+                f"integer literal exceeds the limit {MAX_COEFF_BITS} bits")
 
 
 def _shape(p: TPoly):
@@ -120,36 +124,6 @@ def _pow(a: TPoly, n: int) -> TPoly:
     return a**n
 
 
-class _Mono(NamedTuple):
-    """The monomial c * t^a * x^b, with c an int or Fraction; zero is
-    (0, 0, 0).
-
-    Products, quotients by constants and powers of monomials work on
-    (c, a, b) alone, each refused first, as by _mul and _pow, when the
-    numerator or denominator of the result would break a cap."""
-
-    c: int | Fraction
-    a: int = 0
-    b: int = 0
-
-    def __mul__(self, other):
-        (c, a, b), (d, e, f) = self, other
-        _check_size(b + f, a + e,
-                    max(_bits(c.numerator) + _bits(d.numerator),
-                        _bits(c.denominator) + _bits(d.denominator)))
-        c *= d
-        return _Mono(c, a + e, b + f) if c else _Mono(0)
-
-    def __pow__(self, n):
-        c, a, b = self
-        _check_size(b * n, a * n,
-                    max(_bits(c.numerator), _bits(c.denominator)) * n)
-        return _Mono(c**n, a * n, b * n)
-
-    def __neg__(self):
-        return self._replace(c=-self.c)
-
-
 def _sum_expr(terms: dict, den: int, var: str) -> "_Expr":
     """The sum of the monomials c * t^a * x^b in ``terms`` {(a, b): c}, as
     one quotient by ``den``, a common denominator of every c."""
@@ -159,17 +133,38 @@ def _sum_expr(terms: dict, den: int, var: str) -> "_Expr":
             row = rows.setdefault(a, [])
             row.extend([0] * (b + 1 - len(row)))
             row[b] = c.numerator * (den // c.denominator)
-    parts = [Poly(rows.get(a, ()), var=var)
+    parts = [_normal(rows.get(a, []), ONE, var)
              for a in range(max(rows, default=-1) + 1)]
-    return _Expr(TPoly(parts, var=var),
-                 TPoly([Poly.constant(den, var=var)], var=var))
+    return _Expr(TPoly(parts, var=var), TPoly([_normal([den], ONE, var)],
+                                              var=var))
 
 
 def _as_expr(value, var: str) -> "_Expr":
-    if isinstance(value, _Mono):
-        return _sum_expr({(value.a, value.b): value.c}, value.c.denominator,
-                         var)
+    if type(value) is tuple:
+        c, a, b = value
+        return _sum_expr({(a, b): c}, c.denominator, var)
     return value
+
+
+def _add(values: list) -> "_Expr":
+    """The sum of the quotients ``values``.  Numerators over equal
+    denominators are added; the distinct denominators multiply into one,
+    refused first when it breaks a cap, so the verdict does not depend on
+    the order of the terms."""
+    groups = {}
+    for value in values:
+        key = tuple((part.ints, part.content) for part in value.den.parts)
+        same = groups.get(key)
+        groups[key] = value if same is None else _Expr(same.num + value.num,
+                                                       value.den)
+    values = list(groups.values())
+    xs, ts = zip(*(_shape(value.den) for value in values))
+    _check_size(sum(xs), sum(ts), sum(_norm_bits(v.den) for v in values))
+    total = values[0]
+    for value in values[1:]:
+        total = _Expr(total.num * value.den + value.num * total.den,
+                      total.den * value.den)
+    return total
 
 
 class _Expr:
@@ -181,18 +176,14 @@ class _Expr:
         self.num = num
         self.den = den
 
-    def __add__(self, other):
-        return _Expr(
-            _mul(self.num, other.den) + _mul(other.num, self.den),
-            _mul(self.den, other.den),
-        )
-
     def __mul__(self, other):
         return _Expr(_mul(self.num, other.num), _mul(self.den, other.den))
 
     def __truediv__(self, other):
         if not other.num:
             raise ParseError("division by zero in expression")
+        if _shape(self.den) == (0, 0) and self.den == other.den:
+            return _Expr(self.num, other.num)
         return _Expr(_mul(self.num, other.den), _mul(self.den, other.num))
 
     def __neg__(self):
@@ -203,126 +194,126 @@ class _Expr:
 
 
 class _Parser:
-    """Recursive descent; a value is a :class:`_Mono` while the text builds
-    a monomial and an :class:`_Expr` otherwise."""
+    """Recursive descent over the token list.  A value is the tuple
+    (c, a, b), the monomial c * t^a * x^b with c an int or Fraction (zero
+    is (0, 0, 0)), while the text builds a monomial, and an :class:`_Expr`
+    otherwise."""
 
     def __init__(self, tokens, var):
-        self.tokens = tokens
-        self.pos = 0
-        self.var = var
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, value = self.next()
-        if kind != "op" or value != op:
-            raise ParseError(f"expected {op!r}, found {value!r}")
+        self.tokens, self.pos, self.var = tokens, 0, var
 
     def parse(self) -> _Expr:
-        expr = self.expr()
-        kind, value = self.peek()
-        if kind != "end":
-            raise ParseError(f"trailing input starting at {value!r}")
-        return _as_expr(expr, self.var)
+        value = self.expr()
+        if self.tokens[self.pos] is not None:
+            raise ParseError(
+                f"trailing input starting at {self.tokens[self.pos]!r}")
+        return _as_expr(value, self.var)
 
     def expr(self):
         """A sum.  Its monomial terms merge by (a, b) into one table, which
         becomes one polynomial when the sum ends; other terms are added as
         quotients.  The finished numerator is checked against the caps."""
+        tokens = self.tokens
         value = self.term()
-        kind, op = self.peek()
-        if kind != "op" or op not in "+-":
+        op = tokens[self.pos]
+        if op != "+" and op != "-":
             return value
-        terms, den, others = {}, 1, []
+        terms, den, others, op = {}, 1, [], "+"
         while True:
-            if isinstance(value, _Mono):
-                key = (value.a, value.b)
-                terms[key] = terms.get(key, 0) + value.c
-                if value.c.denominator != 1:
+            if type(value) is tuple:
+                c, a, b = value
+                terms[a, b] = terms.get((a, b), 0) + (c if op == "+" else -c)
+                if c.denominator != 1:
                     # den is the finished sum's denominator and only grows,
                     # so its cap is checked as it grows.
-                    den = math.lcm(den, value.c.denominator)
+                    den = math.lcm(den, c.denominator)
                     _check_size(0, 0, _bits(den))
             else:
-                others.append(value)
-            kind, op = self.peek()
-            if kind != "op" or op not in "+-":
+                others.append(value if op == "+" else -value)
+            op = tokens[self.pos]
+            if op != "+" and op != "-":
                 break
-            self.next()
-            value = self.term() if op == "+" else -self.term()
+            self.pos += 1
+            value = self.term()
         if terms:
             others.append(_sum_expr(terms, den, self.var))
-        total = others[0]
-        for value in others[1:]:
-            total = total + value
+        total = others[0] if len(others) == 1 else _add(others)
         _check_size(*_shape(total.num), _norm_bits(total.num))
         return total
 
     def term(self):
-        value = self.unary()
+        """A product.  While it is a monomial it is kept as (c, a, b), and
+        each product is refused first, as by _mul, when the numerator or
+        denominator of the result would break a cap.  ``/`` takes one
+        factor, so ``1/2*x`` is (1/2)*x."""
+        tokens = self.tokens
+        value = self.factor()
         while True:
-            kind, op = self.peek()
-            if kind != "op" or op not in "*/":
+            op = tokens[self.pos]
+            if op != "*" and op != "/":
                 return value
-            self.next()
-            rhs = self.unary()
-            if isinstance(value, _Mono) and isinstance(rhs, _Mono) and (
-                    op == "*" or not (rhs.a or rhs.b)):
-                if op == "/":
-                    if not rhs.c:
-                        raise ParseError("division by zero in expression")
-                    rhs = _Mono(Fraction(rhs.c.denominator, rhs.c.numerator))
-                value = value * rhs
-            else:
+            self.pos += 1
+            rhs = self.factor()
+            if type(value) is not tuple or type(rhs) is not tuple or (
+                    op == "/" and (rhs[1] or rhs[2])):
                 value, rhs = _as_expr(value, self.var), _as_expr(rhs, self.var)
                 value = value * rhs if op == "*" else value / rhs
+                continue
+            (c, a, b), (d, e, f) = value, rhs
+            if op == "/":
+                if not d:
+                    raise ParseError("division by zero in expression")
+                d = Fraction(d.denominator, d.numerator)
+            # Every c and d is within MAX_COEFF_BITS, so a unit factor cannot
+            # break the coefficient cap.
+            _check_size(b + f, a + e, 0 if c == 1 or d == 1 else max(
+                _bits(c.numerator) + _bits(d.numerator),
+                _bits(c.denominator) + _bits(d.denominator)))
+            c *= d
+            value = (c, a + e, b + f) if c else (0, 0, 0)
 
-    def unary(self):
-        kind, op = self.peek()
-        if kind == "op" and op == "-":
-            self.next()
-            return -self.unary()
-        if kind == "op" and op == "+":
-            self.next()
-            return self.unary()
-        return self.power()
-
-    def power(self):
-        base = self.atom()
-        kind, op = self.peek()
-        if kind == "op" and op == "^":
-            self.next()
-            ekind, exponent = self.next()
-            if ekind != "int":
-                raise ParseError("exponent must be a nonnegative integer literal")
-            if exponent > MAX_PARSE_DEGREE:
-                raise ParseError(
-                    f"exponent {exponent} exceeds the limit {MAX_PARSE_DEGREE}"
-                )
-            return base**exponent
-        return base
-
-    def atom(self):
-        kind, value = self.next()
-        if kind == "int":
-            return _Mono(value)
-        if kind == "name" and value == self.var:
-            return _Mono(1, 0, 1)
-        if kind == "name" and value == TVAR:
-            return _Mono(1, 1, 0)
-        if kind == "name":
-            raise ParseError(f"unknown variable {value!r}")
-        if kind == "op" and value == "(":
-            inner = self.expr()
-            self.expect_op(")")
-            return inner
-        raise ParseError(f"unexpected token {value!r}")
+    def factor(self):
+        """A signed power of an atom: a literal, a variable or a
+        parenthesized sum."""
+        tokens = self.tokens
+        tok = tokens[self.pos]
+        self.pos += 1
+        if type(tok) is int:
+            value = (tok, 0, 0)
+        elif tok == self.var:
+            value = (1, 0, 1)
+        elif tok == TVAR:
+            value = (1, 1, 0)
+        elif tok == "-" or tok == "+":
+            value = self.factor()
+            if tok == "+":
+                return value
+            return ((-value[0], value[1], value[2]) if type(value) is tuple
+                    else -value)
+        elif tok == "(":
+            value = self.expr()
+            if tokens[self.pos] != ")":
+                raise ParseError(f"expected ')', found {tokens[self.pos]!r}")
+            self.pos += 1
+        elif type(tok) is str and tok.isalpha():
+            raise ParseError(f"unknown variable {tok!r}")
+        else:
+            raise ParseError(f"unexpected token {tok!r}")
+        if tokens[self.pos] != "^":
+            return value
+        n = tokens[self.pos + 1]
+        if type(n) is not int:
+            raise ParseError("exponent must be a nonnegative integer literal")
+        if n > MAX_PARSE_DEGREE:
+            raise ParseError(
+                f"exponent {n} exceeds the limit {MAX_PARSE_DEGREE}")
+        self.pos += 2
+        if type(value) is not tuple:
+            return value**n
+        c, a, b = value
+        _check_size(b * n, a * n, 0 if c == 1 else
+                    max(_bits(c.numerator), _bits(c.denominator)) * n)
+        return c**n, a * n, b * n
 
 
 def parse_expression(text: str, var: str = "x") -> _Expr:
@@ -341,7 +332,8 @@ def parse_poly(text: str, var: str = "x"):
     den = expr.den
     if den.degree() > 0 or len(den.parts) > 1:
         raise ParseError("expression is not a polynomial")
-    num = expr.num * (1 / den.parts[0].constant_value())
+    c = den.parts[0].constant_value()
+    num = expr.num if c == 1 else expr.num * (1 / c)
     if len(num.parts) > 1:
         return num
     return num.parts[0] if num else Poly([], var=var)

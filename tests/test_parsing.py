@@ -148,6 +148,94 @@ class TestMonomialTerms:
         assert p.parts == (Poly(expected[0]), Poly(expected[1]))
 
 
+class TestSumsOfQuotients:
+    """Quotients in one sum are grouped by denominator, and the product of
+    the distinct denominators is checked before any numerator is built, so
+    the verdict does not depend on the order of the terms."""
+
+    @pytest.mark.parametrize("terms", [
+        ("1/(x^300+1)", "1/(x^200+1)", "1/(x^300+1)"),
+        ("1/(x^300+1)", "1/(x^200+1)", "1/(x^300+2)"),
+    ])
+    def test_one_verdict_in_every_order(self, terms):
+        def verdict(text):
+            try:
+                return parse_ratfunc(text)
+            except ParseError as error:
+                return str(error)
+
+        verdicts = [verdict(" + ".join(order))
+                    for order in itertools.permutations(terms)]
+        assert all(v == verdicts[0] for v in verdicts)
+
+    def test_cancelling_quotients_are_accepted_in_every_order(self):
+        for order in itertools.permutations(("(x^512+0)", "(t+0)", "(-t+0)")):
+            assert parse_poly(" + ".join(order)) == x**MAX_PARSE_DEGREE
+
+    def test_equal_denominators_add_numerators(self):
+        # Cross-multiplied, the denominator would have degree 600.
+        for order in itertools.permutations(
+                ("1/(x^300+1)", "x/(x^300+1)", "3/(x^200+1)")):
+            assert parse_ratfunc(" + ".join(order)) == RatFunc(
+                (x + 1) * (x**200 + 1) + 3 * (x**300 + 1),
+                (x**300 + 1) * (x**200 + 1))
+
+    def test_distinct_large_denominators_are_refused_in_every_order(self):
+        terms = ("1/(x^200+1)", "x/(x^200+2)", "(x+5)/(x^200+3)")
+        start = time.perf_counter()
+        for order in itertools.permutations(terms):
+            with pytest.raises(ParseError, match="degree limit"):
+                parse_ratfunc(" + ".join(order))
+        assert time.perf_counter() - start < 1.0
+
+
+class TestPrecedence:
+    """``/`` takes one factor, unary minus binds looser than ``^``, and a
+    parenthesized product is one factor."""
+
+    @pytest.mark.parametrize("text, expected", [
+        ("1/2*x", Fraction(1, 2) * x),
+        ("x/2*3", Fraction(3, 2) * x),
+        ("2/3/4*x", Fraction(1, 6) * x),
+        ("-2^2", Poly([-4])),
+        ("2*-x^3", -2 * x**3),
+        ("(2*x)^3/4", 2 * x**3),
+    ])
+    def test_hand_values(self, text, expected):
+        assert parse_poly(text) == expected
+
+    def test_quotient_by_one_factor_of_a_variable(self):
+        assert parse_ratfunc("1/x*x^2") == RatFunc(x, 1)
+        assert parse_ratfunc("2/x^2*3") == RatFunc(Poly([6]), x**2)
+
+
+class TestTokenizerErrors:
+    """A bad character is reported at the end of the token before it, so
+    the spaces in front of it are counted in its position."""
+
+    @pytest.mark.parametrize("text, message", [
+        ("x +   ?", "unexpected character '?' at position 3"),
+        ("   $x", "unexpected character '$' at position 0"),
+        ("x?2", "unexpected character '?' at position 1"),
+        ("3*x^2 + 2#", "unexpected character '#' at position 9"),
+        ("x + 1  %  ", "unexpected character '%' at position 5"),
+        ("x + 1" + "9" * 2000 + " ?", "integer literal exceeds the limit "
+         f"{MAX_COEFF_BITS} bits"),
+        ("? + " + "9" * 2000, "unexpected character '?' at position 0"),
+    ])
+    def test_message(self, text, message):
+        with pytest.raises(ParseError) as error:
+            parse_poly(text)
+        assert str(error.value) == message
+
+    def test_longest_literal_is_accepted(self):
+        digits = MAX_COEFF_BITS * 3 // 10
+        assert parse_poly("9" * digits) == Poly([10**digits - 1])
+        with pytest.raises(ParseError) as error:
+            parse_poly("9" * (digits + 1))
+        assert str(error.value) == (
+            f"integer literal exceeds the limit {MAX_COEFF_BITS} bits")
+
 class TestParseRatFunc:
     def test_basic(self):
         assert parse_ratfunc("x^3/(9*x^2 + 24*x + 16)") == RatFunc(

@@ -24,6 +24,7 @@ from origami_covers.family import build_family, family_source_curve
 from origami_covers.parsing import (
     format_poly,
     format_ratfunc,
+    parse_expression,
     parse_poly,
     parse_ratfunc,
 )
@@ -285,3 +286,33 @@ def test_parse_ratfunc_matches_sympy(text):
     ours = parse_ratfunc(text)
     assert as_pair(ours) == canonical_pair(sympy_of(text))
     assert parse_ratfunc(format_ratfunc(ours)) == ours
+
+
+# A chain of factors joined by * and /, each a literal, x or t with an
+# optional sign and power: the texts a term's monomial run reads.  Divisors
+# are nonzero, and a quotient by x or t is a rational function.
+
+@st.composite
+def chain_factor_texts(draw, divisor):
+    atom = draw(st.sampled_from(["x", "t"])
+                | st.integers(1 if divisor else 0, 12).map(str))
+    if draw(st.booleans()):
+        atom += f"^{draw(st.integers(0, 3))}"
+    return draw(st.sampled_from(["", "", "-"])) + atom
+
+
+@st.composite
+def chain_texts(draw):
+    text = draw(chain_factor_texts(False))
+    for _ in range(draw(st.integers(0, 5))):
+        op = draw(st.sampled_from("*/"))
+        text += op + draw(chain_factor_texts(op == "/"))
+    return text
+
+
+@given(text=chain_texts())
+def test_product_chain_matches_sympy(text):
+    expr = parse_expression(text)
+    ours = (tpoly_to_sympy(expr.num).as_expr()
+            / tpoly_to_sympy(expr.den).as_expr())
+    assert sympy.cancel(ours - sympy_of(text)) == 0
