@@ -231,7 +231,7 @@ def cover_from_dict(doc: dict) -> Cover:
         except ParseError as exc:
             raise ParseError(f"field {key!r}: {exc}") from exc
     degree = doc["degree"]
-    if not isinstance(degree, int) or degree < 1:
+    if type(degree) is not int or degree < 1:   # bool is not a degree
         raise ParseError("field 'degree': must be a positive integer")
     source = HyperellipticCurve(_field("source_rhs", parse_poly))
     target = HyperellipticCurve(_field("target_rhs", parse_poly))

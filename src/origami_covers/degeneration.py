@@ -28,8 +28,8 @@ from .errors import (
     PipelineError,
 )
 from .family import FamilyInstance, legendre_curve
-from .poly import ZERO, Poly, TPoly, binomial
-from .ratfunc import RatFunc, coprime
+from .poly import ZERO, Poly, TPoly, binomial, poly_gcd
+from .ratfunc import RatFunc
 
 UVAR = "u"
 ZVAR = "z"
@@ -292,7 +292,7 @@ def certify_nullity(system: DeformationSystem) -> int:
 
     if not a(0):
         decline("A(0) = 0")
-    if not coprime(a, b):
+    if poly_gcd(a, b).degree() != 0:
         decline("A and B share a factor")
     if a.degree() < g - 1:
         decline(f"deg A < {g - 1}")

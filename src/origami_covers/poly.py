@@ -22,9 +22,10 @@ and equality.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import count, zip_longest
 
 from .errors import InvalidInput, NotDivisible
 
@@ -405,13 +406,14 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _primes():
-    """The primes below 2^61, largest first."""
-    n = 2**61 - 1
-    while True:
-        if _is_prime(n):
-            yield n
+@functools.cache
+def _prime(i: int) -> int:
+    """The i-th prime below 2^61, largest first, so _prime(0) = 2^61 - 1;
+    each is found once per process."""
+    n = _prime(i - 1) - 2 if i else 2**61 - 1
+    while not _is_prime(n):
         n -= 2
+    return n
 
 
 def _rational(c: int, m: int):
@@ -436,8 +438,15 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     gcd divides it; images of the least degree seen are combined by CRT
     and lifted by rational reconstruction.  A lift that divides both a and
     b is a common divisor of at least the greatest degree, so it is the
-    gcd; otherwise more primes are added.  An image of degree 0 proves a
-    and b coprime.
+    gcd; otherwise more primes are added.
+
+    Lemma: an image of degree 0 proves a and b coprime.  Suppose a and b
+    had a common factor over Q of degree >= 1, and scale it to h, primitive
+    in Z[x].  By Gauss's lemma A = h*u with u in Z[x], so lc(h) divides
+    lc(A), which p does not divide; reduction mod p keeps the degree of h.
+    Then h mod p, of degree >= 1, divides both images, and their gcd is
+    not 1.  So the first prime, 2^61 - 1, answers almost every coprime
+    pair by itself.
     """
     if not a and not b:
         raise InvalidInput("gcd(0, 0) is undefined")
@@ -447,7 +456,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     big_a, big_b = a.ints, b.ints
     leads = big_a[-1] * big_b[-1]
     image, modulus = None, 1
-    for p in _primes():
+    for p in map(_prime, count()):
         if not leads % p:
             continue
         g = gcd_mod_p([c % p for c in big_a], [c % p for c in big_b], p)
@@ -482,6 +491,16 @@ def squarefree_part(a: Poly) -> Poly:
 
 
 # -- Q[t][x] by powers of t ------------------------------------------------
+
+
+def _stack(parts: tuple, s: int, var: str) -> Poly:
+    """The Poly sum of parts[k] * x^(s*k), for parts of degree below s."""
+    den = math.lcm(*(p.content.denominator for p in parts))
+    ints = []
+    for p in parts:
+        scale = p.content.numerator * (den // p.content.denominator)
+        ints.extend([scale * c for c in p.ints] + [0] * (s - len(p.ints)))
+    return _normal(ints, Fraction(1, den), var)
 
 
 def _as_tpoly(value, var):
@@ -549,12 +568,20 @@ class TPoly:
         other = _as_tpoly(other, self.var)
         if other is None:
             return NotImplemented
-        n = len(self.parts) + len(other.parts) - 1
-        out = [Poly([], var=self.var)] * max(n, 0)
-        for i, p in enumerate(self.parts):
-            for j, q in enumerate(other.parts):
-                out[i + j] = out[i + j] + p * q
-        return TPoly(out, var=self.var)
+        short, long = sorted((self.parts, other.parts), key=len)
+        if len(short) <= 1:
+            # A factor free of t multiplies each part: nothing to stack.
+            return TPoly([short[0] * p for p in long] if short else (),
+                         var=self.var)
+        # With t = x^s for s above the degree of every product of two parts,
+        # the parts of the product do not overlap: one Poly product holds
+        # them all, s coefficients per power of t.
+        s = self.degree() + other.degree() + 1
+        product = (_stack(self.parts, s, self.var)
+                   * _stack(other.parts, s, other.var))
+        ints = product.ints
+        return TPoly([_normal(list(ints[i:i + s]), product.content, self.var)
+                      for i in range(0, len(ints), s)], var=self.var)
 
     __rmul__ = __mul__
 

@@ -4,7 +4,7 @@ import time
 
 import pytest
 
-from origami_covers import cli, degeneration, family, ratfunc
+from origami_covers import cli, curves, degeneration, family, poly, ratfunc
 from origami_covers.cli import main
 from origami_covers.poly import Poly
 
@@ -15,17 +15,26 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def gcd_calls(capsys, monkeypatch, *argv):
-    """Run a command and count the gcds over Q that RatFunc falls back to."""
-    calls = []
+def assert_no_gcd_over_q(capsys, monkeypatch, *argv):
+    """Run a command and check that each of its gcds is settled by one image
+    over GF(p), with no rational reconstruction: no gcd over Q is taken."""
+    counts = dict.fromkeys(("poly_gcd", "gcd_mod_p", "_rational"), 0)
 
-    def counted(a, b, _gcd=ratfunc.poly_gcd):
-        calls.append((a, b))
-        return _gcd(a, b)
-    monkeypatch.setattr(ratfunc, "poly_gcd", counted)
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+    gcd = counting("poly_gcd", poly.poly_gcd)
+    for module in (poly, ratfunc, curves, degeneration):
+        monkeypatch.setattr(module, "poly_gcd", gcd)
+    for name in ("gcd_mod_p", "_rational"):
+        monkeypatch.setattr(poly, name, counting(name, getattr(poly, name)))
     code, _, _ = run(capsys, *argv)
     assert code == 0
-    return len(calls)
+    assert counts["poly_gcd"] > 0
+    assert counts["gcd_mod_p"] == counts["poly_gcd"]
+    assert counts["_rational"] == 0
 
 
 class TestGenerate:
@@ -54,7 +63,7 @@ class TestGenerate:
         assert first == second
 
     def test_no_gcd_over_q(self, capsys, monkeypatch):
-        assert gcd_calls(capsys, monkeypatch, "generate", "--genus", "8") == 0
+        assert_no_gcd_over_q(capsys, monkeypatch, "generate", "--genus", "8")
 
     def test_genus_guard(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -125,7 +134,9 @@ class TestVerify:
         {"source_rhs": "x^4", "target_rhs": "x^2", "f1": "x^2", "f2": "1",
          "degree": 2},
         {"f2": 5},
-    ], ids=["zero-source", "zero-map", "low-degree-target", "non-string"])
+        {"degree": True},
+    ], ids=["zero-source", "zero-map", "low-degree-target", "non-string",
+            "boolean-degree"])
     def test_uncheckable_cover_exits_two(self, capsys, tmp_path, fields):
         _, out, _ = run(capsys, "generate", "--genus", "2")
         doc = dict(json.loads(out)["cover"], **fields)
@@ -266,7 +277,8 @@ class TestDegenerate:
                          "solve_exact": 1, "_map_polys": 1}
 
     def test_no_gcd_over_q(self, capsys, monkeypatch):
-        assert gcd_calls(capsys, monkeypatch, "degenerate", "--genus", "8") == 0
+        assert_no_gcd_over_q(capsys, monkeypatch, "degenerate", "--genus",
+                             "8")
 
     def test_one_identity_check_and_no_family_build(self, capsys,
                                                     monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import time
 from fractions import Fraction
 
@@ -103,6 +104,20 @@ class TestDegreeCap:
         # (255 + 1) * (1 + 1) = 512 dense coefficients.
         p = parse_poly("t*x^255 + x^255 + t + 1")
         assert p.parts == (x**255 + 1, x**255 + 1)
+
+    @pytest.mark.parametrize("text, copies", [
+        ("(t-1)^511", 1),
+        ("(t-1)^511 + (t-1)^511 + (t-1)^511", 3),
+    ])
+    def test_powers_of_sums_in_t_parse_quickly(self, text, copies):
+        # Inside every cap, yet each squaring of a sum of 256 parts used to
+        # take one product per pair of parts.
+        start = time.perf_counter()
+        p = parse_poly(text)
+        assert time.perf_counter() - start < 1.0
+        assert p.parts == tuple(
+            Poly([copies * (-1) ** (511 - k) * math.comb(511, k)])
+            for k in range(512))
 
     def test_largest_generated_coefficients_parse_back(self):
         # j^3 at the default --max-genus of 64 holds 478-bit coefficients.

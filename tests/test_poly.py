@@ -3,12 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given
 
-from conftest import nonzero_polys, polys, rationals
+from conftest import nonzero_polys, polys, rationals, tpolys
+from origami_covers import poly
 from origami_covers.errors import InvalidInput, NotDivisible
 from origami_covers.poly import (
     NEG_INF,
     TVAR,
     Poly,
+    TPoly,
     binomial,
     poly_gcd,
     squarefree_part,
@@ -143,11 +145,51 @@ class TestGcd:
         with pytest.raises(InvalidInput):
             poly_gcd(Poly([]), Poly([]))
 
+    def test_primes_largest_first(self):
+        assert [poly._prime(i) for i in range(3)] == [
+            2**61 - 1, 2**61 - 31, 2**61 - 45]
+
+    def test_each_prime_is_found_once_per_process(self, monkeypatch):
+        c = x - Fraction(2**200 + 1, 3)
+        several = (c * (x + 1), c * (x + 2))
+        assert poly_gcd(*several) == c
+        assert poly_gcd(x, x + 1) == 1
+
+        def no_more_tests(n):
+            raise AssertionError(f"primality of {n} tested again")
+        monkeypatch.setattr(poly, "_is_prime", no_more_tests)
+        assert poly_gcd(*several) == c
+        assert poly_gcd(x, x + 1) == 1
+
     @given(a=nonzero_polys(), b=nonzero_polys())
     def test_gcd_divides_both(self, a, b):
         g = poly_gcd(a, b)
         assert a.exact_div(g) * g == a
         assert b.exact_div(g) * g == b
+
+
+def pairwise_product(a: TPoly, b: TPoly) -> TPoly:
+    """a * b with one Poly product per pair of parts."""
+    out = [Poly([])] * max(len(a.parts) + len(b.parts) - 1, 0)
+    for i, p in enumerate(a.parts):
+        for j, q in enumerate(b.parts):
+            out[i + j] = out[i + j] + p * q
+    return TPoly(out)
+
+
+class TestTPolyProduct:
+    @given(a=tpolys(max_parts=5), b=tpolys(max_parts=5))
+    def test_matches_pairwise_product_of_parts(self, a, b):
+        assert (a * b).parts == pairwise_product(a, b).parts
+
+    def test_parts_of_unequal_degree(self):
+        a = TPoly([Poly([]), Fraction(1, 3) * x**4, Poly([2])])
+        b = TPoly([x + Fraction(1, 2), Poly([]), Poly([]), x**2])
+        assert (a * b).parts == pairwise_product(a, b).parts
+
+    def test_variable_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            TPoly([x]) * TPoly([Poly([0, 1], var="u")], var="u")
 
 
 class TestSquarefree:

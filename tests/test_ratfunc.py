@@ -4,12 +4,14 @@ import pytest
 from hypothesis import given
 
 from conftest import nonzero_polys, polys
-from origami_covers import ratfunc
+from origami_covers import poly, ratfunc
 from origami_covers.errors import DivisionByZero
 from origami_covers.poly import Poly
-from origami_covers.ratfunc import PRIME, RatFunc, coprime_mod_p
+from origami_covers.ratfunc import RatFunc
 
 x = Poly.variable()
+# The first prime of poly_gcd's images.
+PRIME = 2**61 - 1
 
 
 class TestCanonicalForm:
@@ -43,10 +45,21 @@ class TestCanonicalForm:
 
 class TestModularCertificate:
     def test_coprime_pair_needs_no_gcd(self, monkeypatch):
-        monkeypatch.setattr(ratfunc, "poly_gcd", None)
+        # One image over GF(PRIME) settles it, with no lift to Q.
+        images = []
+
+        def counted(a, b, p, _gcd=poly.gcd_mod_p):
+            images.append(p)
+            return _gcd(a, b, p)
+        monkeypatch.setattr(poly, "gcd_mod_p", counted)
+        monkeypatch.setattr(poly, "_rational", None)
         r = RatFunc(x**5, (3 * x + 4) ** 2)
         assert r.num == x**5 and r.den == 9 * x * x + 24 * x + 16
+        assert images == [PRIME]
 
+    # Pairs at the edges of the first image: where a content or a leading
+    # coefficient is divisible by PRIME, or a coprime pair shares a root
+    # modulo PRIME.  Each takes one gcd and reaches the canonical form.
     @pytest.mark.parametrize("num, den, canonical_num, canonical_den", [
         # PRIME divides a coefficient denominator.
         ((x + Fraction(1, PRIME)) * (x + 3), (x + 3) * (2 * x + 4),
@@ -63,7 +76,6 @@ class TestModularCertificate:
             "leading-coefficient-of-den", "common-root-mod-prime"])
     def test_declines_and_falls_back(self, monkeypatch, num, den,
                                      canonical_num, canonical_den):
-        assert not coprime_mod_p(num, den)
         calls = []
 
         def counted(a, b, _gcd=ratfunc.poly_gcd):

@@ -1,7 +1,6 @@
 """Cross-checks of the gcd, squarefree and genus helpers, of RatFunc's
-canonical form and coprimality certificate, of the pullback differential,
-of Q[t][x] arithmetic and text, and of the parser on random texts, against
-sympy.
+canonical form, of the pullback differential, of Q[t][x] arithmetic and
+text, and of the parser on random texts, against sympy.
 
 sympy is an independent oracle for the tests only; the package itself has
 no runtime dependency on it.
@@ -29,7 +28,7 @@ from origami_covers.parsing import (
     parse_ratfunc,
 )
 from origami_covers.poly import Poly, TPoly, poly_gcd, squarefree_part
-from origami_covers.ratfunc import RatFunc, coprime_mod_p
+from origami_covers.ratfunc import RatFunc
 
 sympy = pytest.importorskip("sympy")
 
@@ -141,14 +140,6 @@ def test_family_pullback_matches_sympy(g):
     cover = build_family(g).cover
     lam = pullback_invariant_differential(cover)
     assert as_pair(lam) == sympy_pullback(cover.map.f1, cover.map.f2)
-
-
-@given(a=nonzero_polys(max_size=5), b=nonzero_polys(max_size=5),
-       c=nonzero_polys(max_size=3))
-def test_certified_coprime_pairs_have_gcd_one(a, b, c):
-    for u, v in ((a, b), (a * c, b * c)):
-        if coprime_mod_p(u, v):
-            assert sympy.gcd(to_sympy(u), to_sympy(v)).degree() == 0
 
 
 @given(a=nonzero_polys(max_size=3), b=nonzero_polys(max_size=3),
