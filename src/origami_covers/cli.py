@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--genus", type=int, required=True)
         p.add_argument("--max-genus", type=int, default=DEFAULT_MAX_GENUS,
-                       help="safety limit on the genus (default 64)")
+                       help="safety limit on the genus (default %(default)s)")
         p.set_defaults(func=func)
         return p
 

@@ -10,9 +10,10 @@ the family.  Identities over Q[t] are checked one power of t at a time.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .errors import InvalidCover, InvalidCurve, ParseError, UnsupportedShape
 from .parsing import (
@@ -26,43 +27,40 @@ from .poly import Poly, poly_gcd
 from .ratfunc import RatFunc
 
 
-@dataclass(frozen=True)
-class HyperellipticCurve:
+class HyperellipticCurve(namedtuple("HyperellipticCurve", "rhs")):
     """The affine curve y^2 = rhs(x)."""
 
-    rhs: Poly
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.rhs:
+    def __new__(cls, rhs: Poly):
+        if not rhs:
             raise InvalidCurve("curve right-hand side must be nonzero")
+        return super().__new__(cls, rhs)
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through ``__new__``, so that ``_replace`` validates too."""
+        return cls(*fields)
 
     def is_over_q(self) -> bool:
         return len(self.rhs.parts) <= 1
 
-    def __eq__(self, other):
-        if not isinstance(other, HyperellipticCurve):
-            return NotImplemented
-        return self.rhs == other.rhs
 
-
-@dataclass(frozen=True)
-class CoverMap:
+class CoverMap(NamedTuple):
     """The map (x, y) -> (f1(x), f2(x)*y)."""
 
     f1: RatFunc
     f2: RatFunc
 
 
-@dataclass(frozen=True)
-class Cover:
+class Cover(NamedTuple):
     source: HyperellipticCurve
     target: HyperellipticCurve
     map: CoverMap
     degree: int
 
 
-@dataclass(frozen=True)
-class CoverCertificate:
+class CoverCertificate(NamedTuple):
     """Result of the formal cover-identity check; ``witness`` names the first
     differing coefficient, and is empty when the identity holds."""
 
@@ -73,8 +71,7 @@ class CoverCertificate:
         return self.ok
 
 
-@dataclass(frozen=True)
-class RamificationReport:
+class RamificationReport(NamedTuple):
     branch_point_x: Fraction
     ramification_index: int
     pullback_coefficient: RatFunc

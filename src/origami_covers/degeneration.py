@@ -11,8 +11,8 @@ then produces the smooth family, whose validity is re-certified exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .curves import (
     Cover,
@@ -35,8 +35,7 @@ UVAR = "u"
 ZVAR = "z"
 
 
-@dataclass(frozen=True)
-class ParametrizedCurve:
+class ParametrizedCurve(NamedTuple):
     """A normalization map u -> (x(u), y(u)) from the line to a nodal curve."""
 
     x_of_u: Poly
@@ -163,8 +162,7 @@ def pipeline_closure(g: int) -> bool:
 # -- first-order deformation ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class DeformationAnsatz:
+class DeformationAnsatz(NamedTuple):
     """Unknown layout for the first-order perturbation at a given genus.
 
     Curve unknowns multiply t*x^i for every source coefficient below the two
@@ -207,8 +205,7 @@ def _perturbed_source(g: int, values: dict) -> TPoly:
                   Poly([0] + [values[name] for name in reversed(names)])])
 
 
-@dataclass(frozen=True)
-class DeformationSystem:
+class DeformationSystem(NamedTuple):
     """The order-t linear system as polynomials: column j holds the
     coefficients of base * x^shift for (base, shift) = columns[j], in
     :func:`deformation_ansatz` order; ``maps`` is the (A, B) they come from.
@@ -311,8 +308,7 @@ def certify_nullity(system: DeformationSystem) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class DeformationSolution:
+class DeformationSolution(NamedTuple):
     """Outcome of :func:`solve_exact`.
 
     ``consistent`` says whether the system has a solution at all.
@@ -367,8 +363,7 @@ def solve_exact(system: DeformationSystem) -> DeformationSolution:
     return DeformationSolution(consistent, solution, nullity)
 
 
-@dataclass(frozen=True)
-class DeformationReport:
+class DeformationReport(NamedTuple):
     genus: int
     ansatz: DeformationAnsatz
     rows: int

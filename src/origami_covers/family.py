@@ -11,7 +11,7 @@ odd binomial companion polynomials of degree g-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .curves import (
     Cover,
@@ -46,16 +46,14 @@ def _check_genus(g: int):
         raise InvalidGenus(f"genus must be an integer >= 1, got {g!r}")
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     genus: int
     j: Poly
     k: Poly
     cover: Cover
 
 
-@dataclass(frozen=True)
-class CompanionCertificate:
+class CompanionCertificate(NamedTuple):
     """Outcome of the two polynomial identities underpinning the cover."""
 
     ok: bool

@@ -8,7 +8,7 @@ right = (2 3) and up = (1 2) must come out as the 3-cycle (1 3 2).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InvalidGenus, NotConnected, ParseError
 
@@ -109,19 +109,22 @@ class Permutation:
         return "".join(parts) if parts else "()"
 
 
-@dataclass(frozen=True)
-class OrigamiDiagram:
+class OrigamiDiagram(namedtuple("OrigamiDiagram", "n right up")):
     """n unit squares glued by a right-step and an up-step permutation."""
 
-    n: int
-    right: Permutation
-    up: Permutation
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n: int, right: Permutation, up: Permutation):
+        if n < 1:
             raise ValueError("need at least one square")
-        if self.right.n != self.n or self.up.n != self.n:
+        if right.n != n or up.n != n:
             raise ValueError("permutation size must match the square count")
+        return super().__new__(cls, n, right, up)
+
+    @classmethod
+    def _make(cls, fields):
+        """Build through ``__new__``, so that ``_replace`` validates too."""
+        return cls(*fields)
 
 
 def commutator(diagram: OrigamiDiagram) -> Permutation:

@@ -7,8 +7,8 @@ battery is deterministic (fixed RNG seed) so repeated runs are byte-identical.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import degeneration, family, origami
 from .curves import (
@@ -24,8 +24,7 @@ from .poly import Poly
 _RNG_SEED = 20130405
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

@@ -1,5 +1,7 @@
-import dataclasses
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
@@ -305,8 +307,8 @@ class TestDegenerate:
         def changed(g, maps=None, _assemble=degeneration
                     .assemble_deformation_system):
             system = _assemble(g, maps)
-            return dataclasses.replace(
-                system, rhs=system.rhs + Poly.monomial(1, exponent))
+            return system._replace(
+                rhs=system.rhs + Poly.monomial(1, exponent))
         monkeypatch.setattr(degeneration, "assemble_deformation_system",
                             changed)
         code, out, _ = run(capsys, "degenerate", "--genus", "3")
@@ -358,3 +360,24 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", ["generate", "origami", "degenerate"])
+    def test_max_genus_default_follows_constant(self, capsys, monkeypatch,
+                                                command):
+        monkeypatch.setattr(cli, "DEFAULT_MAX_GENUS", 7)
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "safety limit on the genus (default 7)" in help_text
+        args = cli.build_parser().parse_args([command, "--genus", "3"])
+        assert args.max_genus == 7
+
+
+def test_import_leaves_out_dataclasses():
+    # -S keeps site hooks out, so only the package's own imports count.
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    probe = "import sys, origami_covers.cli; print('dataclasses' in sys.modules)"
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "False\n"

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 from fractions import Fraction
 
@@ -283,8 +282,7 @@ class TestSolverAgainstBareiss:
         # system is consistent though its solutions all perturb the map.
         system = assemble_deformation_system(g)
         for i in range(system.rows + 1):
-            changed = dataclasses.replace(
-                system, rhs=system.rhs + Poly.monomial(1, i))
+            changed = system._replace(rhs=system.rhs + Poly.monomial(1, i))
             ours, dense = solve_exact(changed), bareiss(densify(changed))
             assert ours.consistent == dense.consistent
             assert ours.consistent == (2 * g - 1 <= i < system.rows)
@@ -308,6 +306,6 @@ class TestNullityCertificate:
     def test_declines_when_a_hypothesis_fails(self, breakage, reason):
         # The columns stay those of the true (A, B).
         system = assemble_deformation_system(3)
-        broken = dataclasses.replace(system, maps=breakage(*system.maps))
+        broken = system._replace(maps=breakage(*system.maps))
         with pytest.raises(PipelineError, match=re.escape(reason)):
             certify_nullity(broken)
