@@ -17,9 +17,6 @@ from .curves import (  # noqa: F401
 )
 from .degeneration import (  # noqa: F401
     deform,
-    degenerate_cover,
-    normalize_degenerate_source,
-    normalize_nodal_cubic,
     two_branch_map,
 )
 from .family import (  # noqa: F401
@@ -39,5 +36,5 @@ from .origami import (  # noqa: F401
     staircase,
     vertex_count,
 )
-from .poly import Poly, binomial, poly_gcd, squarefree_part  # noqa: F401
+from .poly import Poly, binomial, poly_gcd  # noqa: F401
 from .ratfunc import RatFunc  # noqa: F401

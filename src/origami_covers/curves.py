@@ -109,7 +109,7 @@ def genus_geometric(curve: HyperellipticCurve) -> int:
 
 def specialize_t(curve: HyperellipticCurve, value) -> HyperellipticCurve:
     """Substitute t := value, by Horner's rule over the t-parts."""
-    rhs = Poly([], var=curve.rhs.var)
+    rhs = Poly()
     for part in reversed(curve.rhs.parts):
         rhs = rhs * value + part
     return HyperellipticCurve(rhs)
@@ -132,14 +132,14 @@ def verify_cover_identity(cover: Cover) -> CoverCertificate:
     terms = {i: a**i * b ** (m - i) for i in range(m + 1)
              if any(part.coefficient(i) for part in q.parts)}
     cleared, d_sq = n * n * b**m, d * d
-    zero = Poly([], var=p.var)
+    zero = Poly()
     parts = zip_longest(p.parts, q.parts, fillvalue=zero)
     for k, (p_k, q_k) in enumerate(parts):
         q_of_f1 = sum((c * terms[i] for i, c in enumerate(q_k.coeffs) if c),
                       zero)
         diff = p_k * cleared - q_of_f1 * d_sq
         if diff:
-            witness = f"coefficient of t^{k}*{p.var}^{diff.degree()} differs"
+            witness = f"coefficient of t^{k}*x^{diff.degree()} differs"
             return CoverCertificate(ok=False, witness=witness)
     return CoverCertificate(ok=True, witness="")
 

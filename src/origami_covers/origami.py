@@ -7,10 +7,9 @@ right = (2 3) and up = (1 2) must come out as the 3-cycle (1 3 2).
 
 from __future__ import annotations
 
-import re
 from collections import namedtuple
 
-from .errors import InvalidGenus, NotConnected, ParseError
+from .errors import InvalidGenus, NotConnected
 
 
 class Permutation:
@@ -184,49 +183,9 @@ def staircase(g: int) -> OrigamiDiagram:
 
 # -- text serialization ----------------------------------------------------
 
-_CYCLES_RE = re.compile(r"^(\(\s*\d+(?:\s+\d+)*\s*\)|\(\s*\))*$")
-
 
 def format_diagram(diagram: OrigamiDiagram) -> str:
     return (
         f"{diagram.n}; right={diagram.right.cycle_string()}; "
         f"up={diagram.up.cycle_string()}"
     )
-
-
-def _parse_cycles(text: str, n: int) -> Permutation:
-    text = text.strip()
-    if not _CYCLES_RE.match(text):
-        raise ParseError(f"bad cycle notation: {text!r}")
-    cycles = [
-        tuple(int(v) for v in body.split())
-        for body in re.findall(r"\(([^)]*)\)", text)
-        if body.strip()
-    ]
-    for cycle in cycles:
-        if len(set(cycle)) != len(cycle):
-            raise ParseError(f"repeated entry in cycle {cycle}")
-    try:
-        return Permutation.from_cycles(n, cycles)
-    except ValueError as exc:
-        raise ParseError(str(exc)) from exc
-
-
-def parse_diagram(text: str) -> OrigamiDiagram:
-    parts = [p.strip() for p in text.strip().split(";")]
-    if len(parts) != 3:
-        raise ParseError("expected 'n; right=...; up=...'")
-    try:
-        n = int(parts[0])
-    except ValueError as exc:
-        raise ParseError(f"bad square count {parts[0]!r}") from exc
-    perms = {}
-    for part in parts[1:]:
-        key, _, value = part.partition("=")
-        key = key.strip()
-        if key not in ("right", "up") or key in perms:
-            raise ParseError(f"unexpected section {key!r}")
-        perms[key] = _parse_cycles(value, n)
-    if set(perms) != {"right", "up"}:
-        raise ParseError("diagram needs both right= and up= sections")
-    return OrigamiDiagram(n=n, right=perms["right"], up=perms["up"])

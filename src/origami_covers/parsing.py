@@ -1,8 +1,8 @@
 """Plain-text syntax for polynomials and rational functions.
 
-Grammar: integer and rational literals, the main variable (``x`` unless told
-otherwise), the parameter ``t``, the operators ``+ - * / ^`` and parentheses,
-with ``^`` restricted to nonnegative integer literal exponents.
+Grammar: integer and rational literals, the variable ``x``, the parameter
+``t``, the operators ``+ - * / ^`` and parentheses, with ``^`` restricted to
+nonnegative integer literal exponents.
 
 Input size is capped before any arithmetic runs: an exponent literal may not
 pass :data:`MAX_PARSE_DEGREE`, and neither may the degree of any product,
@@ -41,7 +41,7 @@ import re
 from fractions import Fraction
 
 from .errors import ParseError
-from .poly import ONE, Poly, TPoly, TVAR, _normal
+from .poly import ONE, Poly, TPoly, _normal
 from .ratfunc import RatFunc
 
 # 512 is above the 3(g-1) = 189 that the denominator j^3 of f2 reaches at the
@@ -82,7 +82,7 @@ def _token_error(text: str):
 
 
 def _shape(p: TPoly):
-    """(degree in the main variable, degree in t), each at least 0."""
+    """(degree in x, degree in t), each at least 0."""
     return max(p.degree(), 0), max(len(p.parts) - 1, 0)
 
 
@@ -124,7 +124,7 @@ def _pow(a: TPoly, n: int) -> TPoly:
     return a**n
 
 
-def _sum_expr(terms: dict, den: int, var: str) -> "_Expr":
+def _sum_expr(terms: dict, den: int) -> "_Expr":
     """The sum of the monomials c * t^a * x^b in ``terms`` {(a, b): c}, as
     one quotient by ``den``, a common denominator of every c."""
     rows = {}   # a -> the integer coefficients of t^a, over den
@@ -133,16 +133,15 @@ def _sum_expr(terms: dict, den: int, var: str) -> "_Expr":
             row = rows.setdefault(a, [])
             row.extend([0] * (b + 1 - len(row)))
             row[b] = c.numerator * (den // c.denominator)
-    parts = [_normal(rows.get(a, []), ONE, var)
+    parts = [_normal(rows.get(a, []), ONE)
              for a in range(max(rows, default=-1) + 1)]
-    return _Expr(TPoly(parts, var=var), TPoly([_normal([den], ONE, var)],
-                                              var=var))
+    return _Expr(TPoly(parts), TPoly([_normal([den], ONE)]))
 
 
-def _as_expr(value, var: str) -> "_Expr":
+def _as_expr(value) -> "_Expr":
     if type(value) is tuple:
         c, a, b = value
-        return _sum_expr({(a, b): c}, c.denominator, var)
+        return _sum_expr({(a, b): c}, c.denominator)
     return value
 
 
@@ -199,15 +198,15 @@ class _Parser:
     is (0, 0, 0)), while the text builds a monomial, and an :class:`_Expr`
     otherwise."""
 
-    def __init__(self, tokens, var):
-        self.tokens, self.pos, self.var = tokens, 0, var
+    def __init__(self, tokens):
+        self.tokens, self.pos = tokens, 0
 
     def parse(self) -> _Expr:
         value = self.expr()
         if self.tokens[self.pos] is not None:
             raise ParseError(
                 f"trailing input starting at {self.tokens[self.pos]!r}")
-        return _as_expr(value, self.var)
+        return _as_expr(value)
 
     def expr(self):
         """A sum.  Its monomial terms merge by (a, b) into one table, which
@@ -236,7 +235,7 @@ class _Parser:
             self.pos += 1
             value = self.term()
         if terms:
-            others.append(_sum_expr(terms, den, self.var))
+            others.append(_sum_expr(terms, den))
         total = others[0] if len(others) == 1 else _add(others)
         _check_size(*_shape(total.num), _norm_bits(total.num))
         return total
@@ -256,7 +255,7 @@ class _Parser:
             rhs = self.factor()
             if type(value) is not tuple or type(rhs) is not tuple or (
                     op == "/" and (rhs[1] or rhs[2])):
-                value, rhs = _as_expr(value, self.var), _as_expr(rhs, self.var)
+                value, rhs = _as_expr(value), _as_expr(rhs)
                 value = value * rhs if op == "*" else value / rhs
                 continue
             (c, a, b), (d, e, f) = value, rhs
@@ -280,9 +279,9 @@ class _Parser:
         self.pos += 1
         if type(tok) is int:
             value = (tok, 0, 0)
-        elif tok == self.var:
+        elif tok == "x":
             value = (1, 0, 1)
-        elif tok == TVAR:
+        elif tok == "t":
             value = (1, 1, 0)
         elif tok == "-" or tok == "+":
             value = self.factor()
@@ -316,19 +315,17 @@ class _Parser:
         return c**n, a * n, b * n
 
 
-def parse_expression(text: str, var: str = "x") -> _Expr:
-    if var == TVAR:
-        raise ParseError("main variable cannot be 't'")
-    return _Parser(_tokenize(text), var).parse()
+def parse_expression(text: str) -> _Expr:
+    return _Parser(_tokenize(text)).parse()
 
 
-def parse_poly(text: str, var: str = "x"):
+def parse_poly(text: str):
     """Parse a polynomial over Q or Q[t].
 
     Returns a plain :class:`Poly` when the text does not depend on ``t``;
     otherwise a :class:`TPoly`.
     """
-    expr = parse_expression(text, var)
+    expr = parse_expression(text)
     den = expr.den
     if den.degree() > 0 or len(den.parts) > 1:
         raise ParseError("expression is not a polynomial")
@@ -336,15 +333,15 @@ def parse_poly(text: str, var: str = "x"):
     num = expr.num if c == 1 else expr.num * (1 / c)
     if len(num.parts) > 1:
         return num
-    return num.parts[0] if num else Poly([], var=var)
+    return num.parts[0] if num else Poly()
 
 
-def parse_ratfunc(text: str, var: str = "x") -> RatFunc:
+def parse_ratfunc(text: str) -> RatFunc:
     """Parse a rational function with coefficients in Q (no ``t``)."""
-    expr = parse_expression(text, var)
+    expr = parse_expression(text)
     if len(expr.num.parts) > 1 or len(expr.den.parts) > 1:
         raise ParseError("rational functions may not involve t")
-    return RatFunc(expr.num.parts[0] if expr.num else Poly([], var=var),
+    return RatFunc(expr.num.parts[0] if expr.num else Poly(),
                    expr.den.parts[0])
 
 
@@ -355,8 +352,8 @@ def _format_scalar(c: Fraction) -> str:
     return str(c)
 
 
-def _power_text(var: str, e: int) -> str:
-    return "" if e == 0 else (var if e == 1 else f"{var}^{e}")
+def _power_text(symbol: str, e: int) -> str:
+    return "" if e == 0 else (symbol if e == 1 else f"{symbol}^{e}")
 
 
 def _term(c: Fraction, *powers) -> tuple:
@@ -379,13 +376,12 @@ def format_tpoly(p: Poly) -> str:
     """Print a polynomial in t, lowest-degree term first."""
     if not p:
         return "0"
-    return _join_terms([_term(c, _power_text(p.var, e))
+    return _join_terms([_term(c, _power_text("t", e))
                         for e, c in enumerate(p.coeffs) if c])
 
 
 def format_poly(p) -> str:
-    """Print a :class:`Poly` or :class:`TPoly`, highest power of the main
-    variable first.
+    """Print a :class:`Poly` or :class:`TPoly`, highest power of x first.
 
     Each power's coefficient is a polynomial in ``t``; one with several
     terms is parenthesized, e.g. ``(1 + 9*t)*x^4``.
@@ -395,14 +391,14 @@ def format_poly(p) -> str:
     pieces = []
     for e in range(p.degree(), -1, -1):
         c = [part.coefficient(e) for part in p.parts]
-        xpart = _power_text(p.var, e)
+        xpart = _power_text("x", e)
         terms = [(k, v) for k, v in enumerate(c) if v]
         if len(terms) > 1:
-            body = f"({format_tpoly(Poly(c, var=TVAR))})"
+            body = f"({format_tpoly(Poly(c))})"
             pieces.append(("+", f"{body}*{xpart}" if xpart else body))
         elif terms:
             (k, v), = terms
-            pieces.append(_term(v, _power_text(TVAR, k), xpart))
+            pieces.append(_term(v, _power_text("t", k), xpart))
     return _join_terms(pieces)
 
 

@@ -5,9 +5,8 @@ integer coefficient tuple ``ints``, lowest degree first: the integers are
 coprime and the last one is positive, so every polynomial has one stored
 form (zero has the empty tuple and content 0).  ``coeffs``,
 :meth:`Poly.coefficient` and :meth:`Poly.leading_coefficient` read the
-rational coefficients back as :class:`fractions.Fraction`\\ s.  Two
-polynomials combine only when they share a variable; anything else raises
-:class:`ValueError`.
+rational coefficients back as :class:`fractions.Fraction`\\ s.  The
+variable is always x; t is the index of a :class:`TPoly` part.
 
 A product multiplies the contents and the primitive parts.  The primitive
 parts multiply as one Python ``int`` each (Kronecker substitution), and by
@@ -30,9 +29,6 @@ from itertools import count, zip_longest
 from .errors import InvalidInput, NotDivisible
 
 NEG_INF = float("-inf")
-
-XVAR = "x"
-TVAR = "t"
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -61,13 +57,12 @@ def _power(base, n: int, one):
     return result
 
 
-def _make(ints: tuple, content: Fraction, var: str) -> "Poly":
+def _make(ints: tuple, content: Fraction) -> "Poly":
     """The Poly content * ints, for ints already primitive with a positive
     last entry (or empty, with content 0)."""
     p = object.__new__(Poly)
     object.__setattr__(p, "ints", ints)
     object.__setattr__(p, "content", content)
-    object.__setattr__(p, "var", var)
     return p
 
 
@@ -87,9 +82,9 @@ def _primitive(ints: list, scale) -> tuple:
     return tuple(ints), scale * g
 
 
-def _normal(ints: list, scale, var: str) -> "Poly":
+def _normal(ints: list, scale) -> "Poly":
     """The Poly scale * ints, for any integer list."""
-    return _make(*_primitive(ints, scale), var)
+    return _make(*_primitive(ints, scale))
 
 
 def _pack(a: tuple, size: int) -> int:
@@ -130,9 +125,9 @@ def _kronecker(a: tuple, b: tuple) -> tuple:
 class Poly:
     """Immutable dense univariate polynomial: ``content`` times ``ints``."""
 
-    __slots__ = ("ints", "content", "var")
+    __slots__ = ("ints", "content")
 
-    def __init__(self, coeffs=(), var=XVAR):
+    def __init__(self, coeffs=()):
         cs = list(coeffs)
         try:
             dens = [c.denominator for c in cs]
@@ -145,7 +140,6 @@ class Poly:
         ints, content = _primitive(nums, Fraction(1, den))
         object.__setattr__(self, "ints", ints)
         object.__setattr__(self, "content", content)
-        object.__setattr__(self, "var", var)
 
     def __setattr__(self, *args):
         raise AttributeError("Poly is immutable")
@@ -153,16 +147,16 @@ class Poly:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def constant(cls, c, var=XVAR):
-        return cls([c], var=var)
+    def constant(cls, c):
+        return cls([c])
 
     @classmethod
-    def variable(cls, var=XVAR):
-        return cls([0, 1], var=var)
+    def variable(cls):
+        return cls([0, 1])
 
     @classmethod
-    def monomial(cls, coefficient, exponent, var=XVAR):
-        return cls([0] * exponent + [coefficient], var=var)
+    def monomial(cls, coefficient, exponent):
+        return cls([0] * exponent + [coefficient])
 
     # -- structure ---------------------------------------------------------
 
@@ -205,26 +199,20 @@ class Poly:
             return self.is_constant() and self.constant_value() == other
         if not isinstance(other, Poly):
             return NotImplemented
-        return (self.var == other.var and self.ints == other.ints
-                and self.content == other.content)
+        return self.ints == other.ints and self.content == other.content
 
     __hash__ = None
 
     def __repr__(self):
-        return f"Poly({list(self.coeffs)!r}, var={self.var!r})"
+        return f"Poly({list(self.coeffs)!r})"
 
     # -- ring arithmetic ---------------------------------------------------
 
-    def _check_var(self, other: "Poly"):
-        if self.var != other.var:
-            raise ValueError(f"variable mismatch: {self.var!r} vs {other.var!r}")
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other, var=self.var)
+            other = Poly.constant(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_var(other)
         if not other.ints:
             return self
         if not self.ints:
@@ -241,12 +229,12 @@ class Poly:
         if len(a) < len(b):
             a, b = b, a
         a[:len(b)] = [c + d for c, d in zip(a, b)]
-        return _normal(a, Fraction(g, den), self.var)
+        return _normal(a, Fraction(g, den))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _make(self.ints, -self.content, self.var)
+        return _make(self.ints, -self.content)
 
     def __sub__(self, other):
         return self + (-other)
@@ -257,22 +245,21 @@ class Poly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             if not other or not self.ints:
-                return _make((), ZERO, self.var)
-            return _make(self.ints, self.content * other, self.var)
+                return _make((), ZERO)
+            return _make(self.ints, self.content * other)
         if not isinstance(other, Poly):
             return NotImplemented
-        self._check_var(other)
         a, b = self.ints, other.ints
         if not a or not b:
-            return _make((), ZERO, self.var)
+            return _make((), ZERO)
         # A constant's primitive part is (1,), which multiplies as 1.
         ints = b if a == (1,) else a if b == (1,) else _kronecker(a, b)
-        return _make(ints, self.content * other.content, self.var)
+        return _make(ints, self.content * other.content)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return _power(self, n, Poly.constant(1, var=self.var))
+        return _power(self, n, Poly.constant(1))
 
     def __divmod__(self, other):
         """Quotient and remainder over Q.
@@ -283,14 +270,13 @@ class Poly:
         the step's quotient term is an integer over ``scale``.
         """
         if isinstance(other, (int, Fraction)):
-            other = Poly.constant(other, var=self.var)
-        self._check_var(other)
+            other = Poly.constant(other)
         if not other:
             raise ZeroDivisionError("polynomial division by zero")
         a, b = self.ints, other.ints
         dlen = len(b)
         if len(a) < dlen:
-            return _make((), ZERO, self.var), self
+            return _make((), ZERO), self
         lead, low = b[-1], b[:-1]
         rem, scale = list(a), 1
         terms = [None] * (len(a) - dlen + 1)   # (numerator, scale) pairs
@@ -308,8 +294,7 @@ class Poly:
             rem[shift:] = [c - f * d for c, d in zip(rem[shift:], low)]
         ratio = self.content / other.content
         quo = [f * (scale // s) for f, s in terms]
-        return (_normal(quo, ratio / scale, self.var),
-                _normal(rem, self.content / scale, self.var))
+        return _normal(quo, ratio / scale), _normal(rem, self.content / scale)
 
     def exact_div(self, other) -> "Poly":
         """Exact quotient; raises :class:`NotDivisible` on nonzero remainder."""
@@ -322,7 +307,7 @@ class Poly:
 
     def derivative(self) -> "Poly":
         return _normal([i * c for i, c in enumerate(self.ints)][1:],
-                       self.content, self.var)
+                       self.content)
 
     def __call__(self, value):
         """Evaluate by Horner's rule; value may be a scalar or Poly."""
@@ -336,16 +321,14 @@ class Poly:
     def compose(self, other) -> "Poly":
         """self(other(x)) for a polynomial argument."""
         r = self(other)
-        if not isinstance(r, Poly):
-            r = Poly.constant(r, var=other.var if isinstance(other, Poly) else self.var)
-        return r
+        return r if isinstance(r, Poly) else Poly.constant(r)
 
     # -- field-coefficient normal forms -----------------------------------
 
     def monic(self) -> "Poly":
         if not self.ints:
             return self
-        return _make(self.ints, Fraction(1, self.ints[-1]), self.var)
+        return _make(self.ints, Fraction(1, self.ints[-1]))
 
     def content_and_primitive(self):
         """Split a rational-coefficient polynomial as content * primitive.
@@ -355,7 +338,7 @@ class Poly:
         """
         if not self.ints:
             return ZERO, self
-        return self.content, _make(self.ints, ONE, self.var)
+        return self.content, _make(self.ints, ONE)
 
 
 # -- gcd: images over GF(p), lifted by CRT and rational reconstruction ------
@@ -450,7 +433,6 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
     """
     if not a and not b:
         raise InvalidInput("gcd(0, 0) is undefined")
-    a._check_var(b)
     if not a or not b:
         return (a or b).monic()
     big_a, big_b = a.ints, b.ints
@@ -461,7 +443,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             continue
         g = gcd_mod_p([c % p for c in big_a], [c % p for c in big_b], p)
         if len(g) == 1:
-            return Poly.constant(1, var=a.var)
+            return Poly.constant(1)
         if image is None or len(g) < len(image):
             image, modulus = g, p
         elif len(g) > len(image):
@@ -474,40 +456,29 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         lift = [_rational(c, modulus) for c in image]
         if None in lift:
             continue
-        candidate = Poly(lift, var=a.var)
+        candidate = Poly(lift)
         if not divmod(a, candidate)[1] and not divmod(b, candidate)[1]:
             return candidate
-
-
-def squarefree_part(a: Poly) -> Poly:
-    """Monic product of the distinct irreducible factors of ``a``."""
-    if not a:
-        raise InvalidInput("squarefree part of the zero polynomial is undefined")
-    d = a.derivative()
-    if not d:
-        # Constant polynomial.
-        return Poly.constant(1, var=a.var)
-    return a.exact_div(poly_gcd(a, d)).monic()
 
 
 # -- Q[t][x] by powers of t ------------------------------------------------
 
 
-def _stack(parts: tuple, s: int, var: str) -> Poly:
+def _stack(parts: tuple, s: int) -> Poly:
     """The Poly sum of parts[k] * x^(s*k), for parts of degree below s."""
     den = math.lcm(*(p.content.denominator for p in parts))
     ints = []
     for p in parts:
         scale = p.content.numerator * (den // p.content.denominator)
         ints.extend([scale * c for c in p.ints] + [0] * (s - len(p.ints)))
-    return _normal(ints, Fraction(1, den), var)
+    return _normal(ints, Fraction(1, den))
 
 
-def _as_tpoly(value, var):
+def _as_tpoly(value):
     if isinstance(value, (int, Fraction)):
-        value = Poly.constant(value, var=var)
+        value = Poly.constant(value)
     if isinstance(value, Poly):
-        return TPoly(value.parts, var=value.var)
+        return TPoly(value.parts)
     return value if isinstance(value, TPoly) else None
 
 
@@ -518,73 +489,68 @@ class TPoly:
     equal polynomials have equal parts.
     """
 
-    __slots__ = ("parts", "var")
+    __slots__ = ("parts",)
 
-    def __init__(self, parts=(), var=XVAR):
+    def __init__(self, parts=()):
         ps = list(parts)
         while ps and not ps[-1]:
             ps.pop()
         object.__setattr__(self, "parts", tuple(ps))
-        object.__setattr__(self, "var", var)
 
     def __setattr__(self, *args):
         raise AttributeError("TPoly is immutable")
 
     def degree(self):
-        """Degree in the main variable; -inf sentinel for zero."""
+        """Degree in x; -inf sentinel for zero."""
         return max((p.degree() for p in self.parts), default=NEG_INF)
 
     def __bool__(self):
         return bool(self.parts)
 
     def __eq__(self, other):
-        other = _as_tpoly(other, self.var)
+        other = _as_tpoly(other)
         if other is None:
             return NotImplemented
-        return self.var == other.var and self.parts == other.parts
+        return self.parts == other.parts
 
     __hash__ = None
 
     def __repr__(self):
-        return f"TPoly({list(self.parts)!r}, var={self.var!r})"
+        return f"TPoly({list(self.parts)!r})"
 
     def __add__(self, other):
-        other = _as_tpoly(other, self.var)
+        other = _as_tpoly(other)
         if other is None:
             return NotImplemented
-        pairs = zip_longest(self.parts, other.parts,
-                            fillvalue=Poly([], var=self.var))
-        return TPoly([p + q for p, q in pairs], var=self.var)
+        pairs = zip_longest(self.parts, other.parts, fillvalue=Poly())
+        return TPoly([p + q for p, q in pairs])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return TPoly([-p for p in self.parts], var=self.var)
+        return TPoly([-p for p in self.parts])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        other = _as_tpoly(other, self.var)
+        other = _as_tpoly(other)
         if other is None:
             return NotImplemented
         short, long = sorted((self.parts, other.parts), key=len)
         if len(short) <= 1:
             # A factor free of t multiplies each part: nothing to stack.
-            return TPoly([short[0] * p for p in long] if short else (),
-                         var=self.var)
+            return TPoly([short[0] * p for p in long] if short else ())
         # With t = x^s for s above the degree of every product of two parts,
         # the parts of the product do not overlap: one Poly product holds
         # them all, s coefficients per power of t.
         s = self.degree() + other.degree() + 1
-        product = (_stack(self.parts, s, self.var)
-                   * _stack(other.parts, s, other.var))
+        product = _stack(self.parts, s) * _stack(other.parts, s)
         ints = product.ints
-        return TPoly([_normal(list(ints[i:i + s]), product.content, self.var)
-                      for i in range(0, len(ints), s)], var=self.var)
+        return TPoly([_normal(list(ints[i:i + s]), product.content)
+                      for i in range(0, len(ints), s)])
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
-        return _power(self, n, TPoly([Poly.constant(1, var=self.var)],
-                                     var=self.var))
+        return _power(self, n, TPoly([Poly.constant(1)]))

@@ -22,10 +22,8 @@ from .errors import DivisionByZero
 from .poly import Poly, poly_gcd
 
 
-def _as_poly(value, var):
-    if isinstance(value, Poly):
-        return value
-    return Poly.constant(value, var=var)
+def _as_poly(value):
+    return value if isinstance(value, Poly) else Poly.constant(value)
 
 
 class RatFunc:
@@ -33,18 +31,12 @@ class RatFunc:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num, den=1, var="x"):
-        if isinstance(num, Poly):
-            var = num.var
-        elif isinstance(den, Poly):
-            var = den.var
-        num = _as_poly(num, var)
-        den = _as_poly(den, var)
-        num._check_var(den)
+    def __init__(self, num, den=1):
+        num, den = _as_poly(num), _as_poly(den)
         if not den:
             raise DivisionByZero("rational function with zero denominator")
         if not num:
-            den = Poly.constant(1, var=var)
+            den = Poly.constant(1)
         else:
             # Constants are coprime to everything nonzero.
             if not (num.is_constant() or den.is_constant()):

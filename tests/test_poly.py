@@ -4,17 +4,10 @@ import pytest
 from hypothesis import given
 
 from conftest import nonzero_polys, polys, rationals, tpolys
+from math_oracle import squarefree_part
 from origami_covers import poly
 from origami_covers.errors import InvalidInput, NotDivisible
-from origami_covers.poly import (
-    NEG_INF,
-    TVAR,
-    Poly,
-    TPoly,
-    binomial,
-    poly_gcd,
-    squarefree_part,
-)
+from origami_covers.poly import NEG_INF, Poly, TPoly, binomial, poly_gcd
 
 x = Poly.variable()
 
@@ -54,28 +47,9 @@ class TestBasics:
 
 
 class TestVariableRule:
-    def test_cross_variable_arithmetic_raises(self):
-        t = Poly.variable(TVAR)
-        for op in (lambda a, b: a + b, lambda a, b: a * b):
-            with pytest.raises(ValueError):
-                op(x, t)
-            with pytest.raises(ValueError):
-                op(t, x)
-
-    def test_cross_variable_constants_raise(self):
-        with pytest.raises(ValueError):
-            x + Poly.constant(1, var=TVAR)
-        with pytest.raises(ValueError):
-            Poly.constant(2, var=TVAR) * x
-
-    def test_cross_variable_equality_is_false(self):
-        assert Poly.variable("x") != Poly.variable("z")
-        assert not Poly.variable("x") == Poly.variable("z")
-        assert Poly.constant(1) != Poly.constant(1, var=TVAR)
-
     def test_coefficients_are_rational(self):
         with pytest.raises(TypeError):
-            Poly([Poly([0, 1], var=TVAR)])
+            Poly([Poly([0, 1])])
 
 
 class TestProduct:
@@ -186,10 +160,6 @@ class TestTPolyProduct:
         a = TPoly([Poly([]), Fraction(1, 3) * x**4, Poly([2])])
         b = TPoly([x + Fraction(1, 2), Poly([]), Poly([]), x**2])
         assert (a * b).parts == pairwise_product(a, b).parts
-
-    def test_variable_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            TPoly([x]) * TPoly([Poly([0, 1], var="u")], var="u")
 
 
 class TestSquarefree:

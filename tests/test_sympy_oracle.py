@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import nonzero_polys, polys, rationals, tpolys
+from math_oracle import squarefree_part
 from origami_covers.curves import (
     Cover,
     CoverMap,
@@ -27,7 +28,7 @@ from origami_covers.parsing import (
     parse_poly,
     parse_ratfunc,
 )
-from origami_covers.poly import Poly, TPoly, poly_gcd, squarefree_part
+from origami_covers.poly import Poly, TPoly, poly_gcd
 from origami_covers.ratfunc import RatFunc
 
 sympy = pytest.importorskip("sympy")
