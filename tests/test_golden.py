@@ -22,7 +22,7 @@ COMMANDS = (
     [["generate", "--genus", str(g)] for g in (1, 2, 3, 5, 8, 12)]
     + [["generate", "--genus", str(g), "--format", "text"]
        for g in (1, 2, 3, 5, 8, 12)]
-    + [["degenerate", "--genus", str(g)] for g in (2, 3, 5)]
+    + [["degenerate", "--genus", str(g)] for g in (2, 3, 5, 8, 16, 32)]
     + [["origami", "--genus", str(g)] for g in (1, 3, 7)]
     + [["selftest", "--max-genus", "4"]]
 )
