@@ -193,7 +193,7 @@ def cmd_degenerate(args, parser) -> int:
     except OrigamiCoversError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    agrees = report.exact and report.instance == family.family_instance(g)
+    agrees = report.exact and family.is_family_instance(report.instance, g)
     checks = [
         _check("order_t_system_consistent", report.consistent,
                f"{report.rows}x{report.cols}, nullity {report.nullity}"),

@@ -94,21 +94,39 @@ def family_source_curve(g: int) -> HyperellipticCurve:
     return HyperellipticCurve(TPoly([x_x1 * x ** (2 * g - 1), x_x1 * j * j]))
 
 
-def family_instance(g: int) -> FamilyInstance:
-    """The genus-g family cover, constructed but not certified."""
-    _check_genus(g)
-    j = j_poly(g)
-    k = k_poly(g)
+def family_from(g: int, j: Poly, k: Poly, source_rhs) -> FamilyInstance:
+    """The degree-(2g-1) cover of the Legendre curve by y^2 = source_rhs with
+    map (x, y) -> (x^(2g-1)/j^2, x^(g-1) k / j^3 * y), not certified."""
     x = Poly.variable()
     f1 = RatFunc(x ** (2 * g - 1), j * j)
     f2 = RatFunc(x ** (g - 1) * k, j * j * j)
     cover = Cover(
-        source=family_source_curve(g),
+        source=HyperellipticCurve(source_rhs),
         target=legendre_curve(),
         map=CoverMap(f1=f1, f2=f2),
         degree=2 * g - 1,
     )
     return FamilyInstance(genus=g, j=j, k=k, cover=cover)
+
+
+def family_instance(g: int) -> FamilyInstance:
+    """The genus-g family cover, constructed but not certified."""
+    _check_genus(g)
+    return family_from(g, j_poly(g), k_poly(g), family_source_curve(g).rhs)
+
+
+def is_family_instance(inst: FamilyInstance, g: int) -> bool:
+    """Whether an instance built by :func:`family_from` is the genus-g family,
+    decided without building the family's map.
+
+    :func:`family_instance` is ``family_from`` applied to (g, j_poly(g),
+    k_poly(g), family_source_curve(g).rhs), and every field of a
+    ``family_from`` instance is a function of its four arguments, which it
+    stores as the genus, j, k and the source.  So for such an instance this
+    is equivalent to ``inst == family_instance(g)``.
+    """
+    return (inst.genus == g and inst.j == j_poly(g) and inst.k == k_poly(g)
+            and inst.cover.source == family_source_curve(g))
 
 
 def build_family(g: int) -> FamilyInstance:

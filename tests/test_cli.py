@@ -282,20 +282,23 @@ class TestDegenerate:
         assert_no_gcd_over_q(capsys, monkeypatch, "degenerate", "--genus",
                              "8")
 
-    def test_one_identity_check_and_no_family_build(self, capsys,
-                                                    monkeypatch):
+    def test_no_identity_check_and_no_family_build(self, capsys,
+                                                   monkeypatch):
+        # deform certifies exactness by its own cleared identity, and the
+        # agreement with the family is read off j, k and the source.
         calls = []
         for module, name in ((degeneration, "verify_cover_identity"),
                              (family, "verify_cover_identity"),
                              (cli, "verify_cover_identity"),
-                             (family, "build_family")):
+                             (family, "build_family"),
+                             (family, "family_instance")):
             def counted(*args, _fn=getattr(module, name), _name=name):
                 calls.append(_name)
                 return _fn(*args)
             monkeypatch.setattr(module, name, counted)
         code, _, _ = run(capsys, "degenerate", "--genus", "3")
         assert code == 0
-        assert calls == ["verify_cover_identity"]
+        assert calls == []
 
     @pytest.mark.parametrize("exponent, consistent", [(0, False), (5, True)],
                              ids=["inconsistent", "map-perturbing"])

@@ -2,6 +2,9 @@ import re
 from fractions import Fraction
 
 import pytest
+from conftest import rationals
+from hypothesis import given
+from hypothesis import strategies as st
 
 import math_oracle
 from linalg import LinearSystem
@@ -17,6 +20,7 @@ from origami_covers import degeneration
 from origami_covers.curves import Cover, CoverMap, verify_cover_identity
 from origami_covers.degeneration import (
     _map_polys,
+    _perturbed_source,
     assemble_deformation_system,
     certify_nullity,
     deform,
@@ -33,7 +37,7 @@ from origami_covers.errors import (
     InvalidGenus,
     PipelineError,
 )
-from origami_covers.family import build_family
+from origami_covers.family import build_family, family_from
 from origami_covers.poly import Poly, TPoly
 from origami_covers.ratfunc import RatFunc
 from origami_covers.selftest import check_two_branch_map
@@ -213,12 +217,12 @@ class TestDeformation:
     def test_genus_two_ansatz(self):
         ansatz = deformation_ansatz(2)
         assert ansatz.unknowns == ("a", "b", "c", "d", "e", "f", "g")
-        assert ansatz.map_unknowns == ("e", "f", "g")
+        assert ansatz.den_unknowns + ansatz.num_unknowns == ("e", "f", "g")
 
     def test_genus_three_ansatz(self):
         ansatz = deformation_ansatz(3)
         assert len(ansatz.curve_unknowns) == 6
-        assert len(ansatz.map_unknowns) == 5
+        assert len(ansatz.den_unknowns + ansatz.num_unknowns) == 5
 
     def test_genus_two_solution(self):
         ansatz, _, outcome = solve_deformation(2)
@@ -264,6 +268,46 @@ class TestDeformation:
     def test_bad_genus(self):
         with pytest.raises(InvalidGenus):
             deform(1)
+
+
+class TestExactnessCertificate:
+    """``deform``'s cleared identity against the full cover identity."""
+
+    @given(g=st.integers(min_value=2, max_value=10), data=st.data())
+    def test_agrees_with_the_cover_identity(self, g, data):
+        ansatz, _, outcome = solve_deformation(g)
+        solution = dict(zip(ansatz.unknowns, outcome.solution))
+        if data.draw(st.booleans(), label="change a curve unknown"):
+            name = data.draw(st.sampled_from(ansatz.curve_unknowns),
+                             label="unknown")
+            solution[name] += data.draw(rationals, label="change")
+        a, b = _map_polys(g)
+        cover = family_from(g, b, a, _perturbed_source(g, solution)).cover
+        try:
+            deform(g, solution=solution)
+        except FirstOrderOnly:
+            raises = True
+        else:
+            raises = False
+        assert raises == (not verify_cover_identity(cover))
+
+    @pytest.mark.parametrize("g", [2, 3, 5])
+    @pytest.mark.parametrize("shift", [1, 2])
+    def test_a_changed_system_does_not_certify_itself(self, monkeypatch, g,
+                                                      shift):
+        # Adding a multiple of a curve column to the right-hand side keeps
+        # the map unperturbed in the solution but moves the curve off the
+        # family, so the deformed cover is not exact.
+        def changed(g, maps=None, _assemble=degeneration
+                    .assemble_deformation_system):
+            system = _assemble(g, maps)
+            base, _ = system.columns[0]
+            return system._replace(rhs=system.rhs + base * x ** shift)
+        monkeypatch.setattr(degeneration, "assemble_deformation_system",
+                            changed)
+        report = deformation_report(g)
+        assert report.consistent and report.solution
+        assert not report.exact
 
 
 class TestSolverAgainstBareiss:

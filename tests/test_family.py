@@ -14,13 +14,16 @@ from origami_covers.errors import InvalidGenus
 from origami_covers.family import (
     build_family,
     companion_identities,
+    family_from,
+    family_instance,
     family_source_curve,
+    is_family_instance,
     j_poly,
     k_poly,
     legendre_curve,
 )
 from origami_covers.parsing import format_poly, parse_poly
-from origami_covers.poly import Poly
+from origami_covers.poly import Poly, TPoly
 
 x = Poly.variable()
 
@@ -118,3 +121,23 @@ class TestBuildFamily:
                 + q.coefficient(0) * f1.den**3
             ) * f2.den * f2.den
             assert lhs == rhs
+
+
+class TestFamilyPredicate:
+    """``is_family_instance`` against building the family and comparing."""
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 6])
+    @pytest.mark.parametrize("change, is_family", [
+        (lambda j, k, s: (j, k, s), True),
+        (lambda j, k, s: (j + 1, k, s), False),
+        (lambda j, k, s: (j, 2 * k, s), False),
+        (lambda j, k, s: (j, k, s + x), False),
+        (lambda j, k, s: (j, k, s + TPoly([Poly(), x])), False),
+    ], ids=["true", "j", "k", "source-t0", "source-t1"])
+    def test_agrees_with_equality(self, g, change, is_family):
+        source = family_source_curve(g).rhs
+        inst = family_from(g, *change(j_poly(g), k_poly(g), source))
+        assert is_family_instance(inst, g) == is_family
+        assert (inst == family_instance(g)) == is_family
+        assert not is_family_instance(inst, g + 1)
+        assert inst != family_instance(g + 1)
