@@ -211,10 +211,6 @@ def cover_to_dict(cover: Cover) -> dict:
     }
 
 
-def cover_to_json(cover: Cover) -> str:
-    return json.dumps(cover_to_dict(cover), indent=2)
-
-
 def cover_from_dict(doc: dict) -> Cover:
     required = ["source_rhs", "target_rhs", "f1", "f2", "degree"]
     for key in required:

@@ -19,13 +19,7 @@ from typing import NamedTuple
 # Not called here: the benchmark's tracer wraps this binding, and its tests
 # require every binding it wraps to exist (ROADMAP item 3 drops that).
 from .curves import verify_cover_identity  # noqa: F401
-from .errors import (
-    DeformationFailed,
-    FirstOrderOnly,
-    InvalidDegree,
-    InvalidGenus,
-    PipelineError,
-)
+from .errors import FirstOrderOnly, InvalidDegree, InvalidGenus, PipelineError
 from .family import FamilyInstance, family_from
 from .poly import ZERO, Poly, TPoly, binomial, poly_gcd
 from .ratfunc import RatFunc
@@ -95,7 +89,6 @@ class DeformationAnsatz(NamedTuple):
 
 
 def deformation_ansatz(g: int) -> DeformationAnsatz:
-    _check_genus(g)
     if g == 2:
         # The classical letters of the degree-3 computation.
         return DeformationAnsatz(2, ("a", "b", "c", "d"), ("e", "f"), ("g",))
@@ -136,21 +129,20 @@ class DeformationSystem(NamedTuple):
         return len(self.columns)
 
 
-def assemble_deformation_system(g: int, maps=None) -> DeformationSystem:
+def assemble_deformation_system(g: int, maps) -> DeformationSystem:
     """Equate each t*x^i coefficient of the perturbed identity to zero.
 
     The cleared identity is x^(2g-2) N^2 S = X (X + D^2) (X + t D^2) with
     X = x^(2g-1), S0 = x^(2g+1) + x^(2g), source S = S0 + t sum a_i
     x^(2g+1-i), numerator factor N = A + t sum n_d x^d and denominator
-    D = B + t sum e_d x^d, where A, B come from :func:`_map_polys` (or
-    ``maps``, when the caller has them).  Its t^1 coefficient is affine in
-    the unknowns, so the system is written down in closed form: the column
-    of a_i is x^(2g-2) A^2 shifted by 2g+1-i, that of e_d is -2 X^2 B shifted
-    by d, that of n_d is 2 x^(2g-2) A S0 shifted by d, and the right-hand
-    side is X (X + B^2) B^2.
+    D = B + t sum e_d x^d, where (A, B) are the ``maps`` from
+    :func:`_map_polys`.  Its t^1 coefficient is affine in the unknowns, so
+    the system is written down in closed form: the column of a_i is
+    x^(2g-2) A^2 shifted by 2g+1-i, that of e_d is -2 X^2 B shifted by d,
+    that of n_d is 2 x^(2g-2) A S0 shifted by d, and the right-hand side is
+    X (X + B^2) B^2.
     """
-    _check_genus(g)
-    a, b = maps = maps or _map_polys(g)
+    a, b = maps
     x = Poly.variable()
     big_x = x ** (2 * g - 1)
     lead = x ** (2 * g - 2)
@@ -288,7 +280,7 @@ class DeformationReport(NamedTuple):
         return self.instance is not None
 
 
-def solve_deformation(g: int, maps=None):
+def solve_deformation(g: int, maps):
     """Solve the order-t system; returns (ansatz, system, solution).
 
     The solution is the one :func:`solve_exact` gives, with every map
@@ -300,7 +292,7 @@ def solve_deformation(g: int, maps=None):
     return ansatz, system, solve_exact(system)
 
 
-def deform(g: int, solution: dict | None = None, maps=None) -> FamilyInstance:
+def deform(g: int, solution: dict, maps) -> FamilyInstance:
     """Globalize the first-order solution and certify it exactly.
 
     The candidate curve S takes the solved coefficients; the map is kept at
@@ -310,14 +302,6 @@ def deform(g: int, solution: dict | None = None, maps=None) -> FamilyInstance:
     and S the cover is built from.  Proof: with q = x (x+1) (x+t), the
     cover identity f2^2 S = q(f1) times B^6 != 0 is that identity.
     """
-    _check_genus(g)
-    maps = maps or _map_polys(g)
-    if solution is None:
-        ansatz, _, outcome = solve_deformation(g, maps)
-        if outcome.solution is None:
-            raise DeformationFailed(
-                f"no order-t solution keeps the map at genus {g}")
-        solution = dict(zip(ansatz.unknowns, outcome.solution))
     a_poly, b_poly = maps
     source = _perturbed_source(g, solution)
     x = Poly.variable()
@@ -331,7 +315,11 @@ def deform(g: int, solution: dict | None = None, maps=None) -> FamilyInstance:
 
 
 def deformation_report(g: int) -> DeformationReport:
-    """Full pipeline summary for machine-readable output."""
+    """Run the whole pipeline at genus g and summarize it.
+
+    This is the one entry into the pipeline: it checks the genus and builds
+    the maps once, and the stages below take both as given.
+    """
     _check_genus(g)
     maps = _map_polys(g)
     ansatz, system, outcome = solve_deformation(g, maps)
@@ -339,7 +327,7 @@ def deformation_report(g: int) -> DeformationReport:
     if outcome.solution is not None:
         solution = dict(zip(ansatz.unknowns, outcome.solution))
         try:
-            instance = deform(g, solution=solution, maps=maps)
+            instance = deform(g, solution, maps)
         except FirstOrderOnly:
             pass
     return DeformationReport(

@@ -45,10 +45,6 @@ class PipelineError(OrigamiCoversError):
     """The degeneration pipeline's commutative square failed to close."""
 
 
-class DeformationFailed(OrigamiCoversError):
-    """The first-order deformation system is inconsistent."""
-
-
 class FirstOrderOnly(OrigamiCoversError):
     """A first-order deformation solution did not globalize to an exact cover."""
 

@@ -85,13 +85,17 @@ def legendre_curve() -> HyperellipticCurve:
     return HyperellipticCurve(TPoly([x_x1 * x, x_x1]))
 
 
+def _source_rhs(g: int, j: Poly) -> TPoly:
+    """x (x+1) (x^(2g-1) + t j^2) over Q[t], expanded."""
+    x = Poly.variable()
+    x_x1 = x * (x + 1)
+    return TPoly([x_x1 * x ** (2 * g - 1), x_x1 * j * j])
+
+
 def family_source_curve(g: int) -> HyperellipticCurve:
     """C_t : y^2 = x (x+1) (x^(2g-1) + t j(x)^2) over Q[t], expanded."""
     _check_genus(g)
-    j = j_poly(g)
-    x = Poly.variable()
-    x_x1 = x * (x + 1)
-    return HyperellipticCurve(TPoly([x_x1 * x ** (2 * g - 1), x_x1 * j * j]))
+    return HyperellipticCurve(_source_rhs(g, j_poly(g)))
 
 
 def family_from(g: int, j: Poly, k: Poly, source_rhs) -> FamilyInstance:
@@ -123,10 +127,12 @@ def is_family_instance(inst: FamilyInstance, g: int) -> bool:
     k_poly(g), family_source_curve(g).rhs), and every field of a
     ``family_from`` instance is a function of its four arguments, which it
     stores as the genus, j, k and the source.  So for such an instance this
-    is equivalent to ``inst == family_instance(g)``.
+    is equivalent to ``inst == family_instance(g)``.  The expected source is
+    built from the j just compared, so j is built once.
     """
-    return (inst.genus == g and inst.j == j_poly(g) and inst.k == k_poly(g)
-            and inst.cover.source == family_source_curve(g))
+    j = j_poly(g)
+    return (inst.genus == g and inst.j == j and inst.k == k_poly(g)
+            and inst.cover.source.rhs == _source_rhs(g, j))
 
 
 def build_family(g: int) -> FamilyInstance:

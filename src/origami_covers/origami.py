@@ -27,10 +27,6 @@ class Permutation:
         raise AttributeError("Permutation is immutable")
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
-        return cls(range(1, n + 1))
-
-    @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
         images = list(range(1, n + 1))
         for cycle in cycles:
@@ -85,9 +81,6 @@ class Permutation:
     def cycle_type(self):
         """Multiset of cycle lengths, as a descending tuple."""
         return tuple(sorted((len(c) for c in self.cycles()), reverse=True))
-
-    def is_identity(self) -> bool:
-        return all(img == i for i, img in enumerate(self.images, start=1))
 
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images

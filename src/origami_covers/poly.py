@@ -3,10 +3,10 @@
 A :class:`Poly` is stored as one rational ``content`` times a primitive
 integer coefficient tuple ``ints``, lowest degree first: the integers are
 coprime and the last one is positive, so every polynomial has one stored
-form (zero has the empty tuple and content 0).  ``coeffs``,
-:meth:`Poly.coefficient` and :meth:`Poly.leading_coefficient` read the
-rational coefficients back as :class:`fractions.Fraction`\\ s.  The
-variable is always x; t is the index of a :class:`TPoly` part.
+form (zero has the empty tuple and content 0).  ``coeffs`` and
+:meth:`Poly.coefficient` read the rational coefficients back as
+:class:`fractions.Fraction`\\ s.  The variable is always x; t is the index
+of a :class:`TPoly` part.
 
 A product multiplies the contents and the primitive parts.  The primitive
 parts multiply as one Python ``int`` each (Kronecker substitution), and by
@@ -168,9 +168,6 @@ class Poly:
     def degree(self):
         """Degree of the polynomial; -inf sentinel for the zero polynomial."""
         return len(self.ints) - 1 if self.ints else NEG_INF
-
-    def leading_coefficient(self):
-        return self.content * self.ints[-1] if self.ints else ZERO
 
     def coefficient(self, exponent):
         if 0 <= exponent < len(self.ints) and self.ints[exponent]:

@@ -6,9 +6,17 @@ import time
 
 import pytest
 
-from origami_covers import cli, curves, degeneration, family, poly, ratfunc
+from origami_covers import (
+    cli,
+    curves,
+    degeneration,
+    family,
+    poly,
+    ratfunc,
+    selftest,
+)
 from origami_covers.cli import main
-from origami_covers.poly import Poly
+from origami_covers.poly import Poly, TPoly
 
 
 def run(capsys, *argv):
@@ -307,7 +315,7 @@ class TestDegenerate:
         # At genus 3 no column reaches x^0, and every solution of the system
         # changed at x^5 perturbs the map: either way there is no deformed
         # cover, and the consistency check reports which case it is.
-        def changed(g, maps=None, _assemble=degeneration
+        def changed(g, maps, _assemble=degeneration
                     .assemble_deformation_system):
             system = _assemble(g, maps)
             return system._replace(
@@ -343,14 +351,38 @@ class TestSelftest:
         assert code == 1
 
     def test_each_family_built_once(self, capsys, monkeypatch):
-        built = []
-
-        def counted(g, _build=family.build_family):
-            built.append(g)
-            return _build(g)
-        monkeypatch.setattr(family, "build_family", counted)
+        # Each family is built once, uncertified, and its cover identity is
+        # checked once, by the family_cover_identity check.
+        bindings = [(family, "family_instance"), (family, "build_family")]
+        bindings += [(module, "verify_cover_identity")
+                     for module in (curves, family, degeneration, selftest)]
+        calls = {name: [] for _, name in bindings}
+        for module, name in bindings:
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name].append(args)
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
         run(capsys, "selftest", "--max-genus", "3")
-        assert sorted(built) == [1, 2, 3]
+        assert sorted(g for g, in calls["family_instance"]) == [1, 2, 3]
+        assert calls["build_family"] == []
+        assert len(calls["verify_cover_identity"]) == 3
+
+    def test_failing_family_is_a_fail_line(self, capsys, monkeypatch):
+        # A family whose cover identity fails is reported, not raised.  At
+        # g=2 the source gains t*x: its t*x coefficient becomes 17, not 16.
+        def broken(g, _build=family.family_instance):
+            inst = _build(g)
+            if g != 2:
+                return inst
+            low, high = inst.cover.source.rhs.parts
+            source = inst.cover.source._replace(
+                rhs=TPoly([low, high + Poly.variable()]))
+            return inst._replace(cover=inst.cover._replace(source=source))
+        monkeypatch.setattr(family, "family_instance", broken)
+        code, out, _ = run(capsys, "selftest", "--max-genus", "3")
+        assert code == 1
+        lines = out.splitlines()
+        assert "[FAIL] family_cover_identity: failed at g=2" in lines
 
 
 class TestUsage:

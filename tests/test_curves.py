@@ -10,7 +10,6 @@ from origami_covers.curves import (
     cover_from_dict,
     cover_from_json,
     cover_to_dict,
-    cover_to_json,
     genus_arithmetic,
     genus_geometric,
     pullback_invariant_differential,
@@ -167,9 +166,9 @@ class TestRamification:
 class TestInterchange:
     def test_roundtrip_bit_exact(self):
         cover = build_family(2).cover
-        text = cover_to_json(cover)
+        text = json.dumps(cover_to_dict(cover), indent=2)
         again = cover_from_json(text)
-        assert cover_to_json(again) == text
+        assert json.dumps(cover_to_dict(again), indent=2) == text
         assert again.map == cover.map
         assert again.source == cover.source
         assert again.target == cover.target

@@ -40,7 +40,7 @@ class TestPermutation:
 
     def test_inverse(self):
         p = Permutation([2, 3, 1])
-        assert (p * p.inverse()).is_identity()
+        assert p * p.inverse() == Permutation(range(1, 4))
 
     def test_cycles_min_first(self):
         p = Permutation.from_cycles(5, [(3, 5, 4)])
@@ -50,7 +50,7 @@ class TestPermutation:
     def test_cycle_string(self):
         assert Permutation.from_cycles(4, [(1, 3), (2, 4)]).cycle_string() \
             == "(1 3)(2 4)"
-        assert Permutation.identity(3).cycle_string() == "()"
+        assert Permutation(range(1, 4)).cycle_string() == "()"
 
     @given(n=st.integers(min_value=1, max_value=8), data=st.data())
     def test_inverse_involution(self, n, data):
@@ -119,7 +119,7 @@ class TestInvariance:
 class TestGenus:
     def test_disconnected_raises(self):
         d = OrigamiDiagram(
-            n=2, right=Permutation.identity(2), up=Permutation.identity(2)
+            n=2, right=Permutation(range(1, 3)), up=Permutation(range(1, 3))
         )
         with pytest.raises(NotConnected):
             genus(d)
@@ -128,7 +128,7 @@ class TestGenus:
         d = OrigamiDiagram(
             n=2,
             right=Permutation.from_cycles(2, [(1, 2)]),
-            up=Permutation.identity(2),
+            up=Permutation(range(1, 3)),
         )
         assert genus(d) == 1
 

@@ -19,7 +19,8 @@ def _cover():
 
 
 def _system():
-    return degeneration.assemble_deformation_system(2)
+    return degeneration.assemble_deformation_system(
+        2, degeneration._map_polys(2))
 
 
 # (record, fields in order, a thunk building an instance)
