@@ -22,9 +22,10 @@ COMMANDS = (
     [["generate", "--genus", str(g)] for g in (1, 2, 3, 5, 8, 12)]
     + [["generate", "--genus", str(g), "--format", "text"]
        for g in (1, 2, 3, 5, 8, 12)]
-    + [["degenerate", "--genus", str(g)] for g in (2, 3, 5, 8, 16, 32)]
+    + [["degenerate", "--genus", str(g)] for g in (2, 3, 5, 8, 16, 32, 64)]
+    + [["degenerate", "--genus", "128", "--max-genus", "128"]]
     + [["origami", "--genus", str(g)] for g in (1, 3, 7)]
-    + [["selftest", "--max-genus", "4"]]
+    + [["selftest", "--max-genus", str(g)] for g in (4, 8)]
 )
 
 
