@@ -27,7 +27,7 @@ from .ratfunc import RatFunc
 
 def degenerate_source_rhs(g: int) -> Poly:
     """x^(2g)(x+1), the right-hand side of the genus-0 degenerate source."""
-    return Poly.variable() ** (2 * g) * Poly([1, 1])
+    return Poly([1, 1]).shift(2 * g)
 
 
 def _check_genus(g: int):
@@ -60,11 +60,11 @@ def _map_polys(g: int):
     """
     tbm = two_branch_map(2 * g - 1)
     num, den = tbm.num, tbm.den
-    if any(c for c in num.coeffs[0::2]) or any(c for c in den.coeffs[1::2]):
+    if any(num.ints[0::2]) or any(den.ints[1::2]):
         raise PipelineError("two-branch map lost its odd/even symmetry")
     x_plus_1 = Poly([1, 1])
-    return (Poly(num.coeffs[1::2]).compose(x_plus_1),
-            Poly(den.coeffs[0::2]).compose(x_plus_1))
+    return ((num.content * Poly(num.ints[1::2])).compose(x_plus_1),
+            (den.content * Poly(den.ints[0::2])).compose(x_plus_1))
 
 
 # -- first-order deformation ----------------------------------------------
@@ -133,32 +133,37 @@ def assemble_deformation_system(g: int, maps) -> DeformationSystem:
     """Equate each t*x^i coefficient of the perturbed identity to zero.
 
     The cleared identity is x^(2g-2) N^2 S = X (X + D^2) (X + t D^2) with
-    X = x^(2g-1), S0 = x^(2g+1) + x^(2g), source S = S0 + t sum a_i
+    X = x^(2g-1), S0 = x^(2g) (x+1), source S = S0 + t sum a_i
     x^(2g+1-i), numerator factor N = A + t sum n_d x^d and denominator
     D = B + t sum e_d x^d, where (A, B) are the ``maps`` from
     :func:`_map_polys`.  Its t^1 coefficient is affine in the unknowns, so
-    the system is written down in closed form: the column of a_i is
-    x^(2g-2) A^2 shifted by 2g+1-i, that of e_d is -2 X^2 B shifted by d,
-    that of n_d is 2 x^(2g-2) A S0 shifted by d, and the right-hand side is
+    the system is written down in closed form, by shifts and no product by
+    a power of x: the column of a_i is x^(2g-2) A^2 shifted by 2g+1-i,
+    those of e_d and n_d are -2 X^2 B = x^(4g-2) (-2B) and 2 x^(2g-2) A S0
+    = x^(4g-2) 2A (x+1) shifted by d, and the right-hand side is
     X (X + B^2) B^2.
+
+    Its t^0 coefficient is checked with x^(4g-2) cancelled, which is exact
+    as Q[x] has no zero divisors: A^2 (x+1) = X + B^2, the companion
+    product identity (x+1) k^2 = j^2 + X with k = A and j = B.
     """
     a, b = maps
-    x = Poly.variable()
-    big_x = x ** (2 * g - 1)
-    lead = x ** (2 * g - 2)
-    source = degenerate_source_rhs(g)
-    lead_a_sq, b_sq = lead * a * a, b * b
-    if lead_a_sq * source != big_x * big_x * (big_x + b_sq):
+    x_plus_1 = Poly([1, 1])
+    a_sq, b_sq = a * a, b * b
+    big_x_plus_b_sq = Poly.monomial(1, 2 * g - 1) + b_sq
+    if a_sq * x_plus_1 != big_x_plus_b_sq:
         raise PipelineError(
             f"degenerate cover identity broke at order t^0 at genus {g}"
         )
-    den_base = -2 * big_x * big_x * b
-    num_base = 2 * lead * a * source
+    lead_a_sq = a_sq.shift(2 * g - 2)
+    den_base = (-2 * b).shift(4 * g - 2)
+    num_base = (2 * a * x_plus_1).shift(4 * g - 2)
+    rhs = (big_x_plus_b_sq * b_sq).shift(2 * g - 1)
     # a_1..a_2g, e_(g-1)..e_0, n_(g-2)..n_0.
     columns = tuple([(lead_a_sq, s) for s in range(2 * g, 0, -1)]
                     + [(den_base, d) for d in range(g - 1, -1, -1)]
                     + [(num_base, d) for d in range(g - 2, -1, -1)])
-    return DeformationSystem(g, maps, columns, big_x * (big_x + b_sq) * b_sq)
+    return DeformationSystem(g, maps, columns, rhs)
 
 
 def certify_nullity(system: DeformationSystem) -> int:
@@ -204,7 +209,7 @@ def certify_nullity(system: DeformationSystem) -> int:
     (base_u, _), (base_v, _), (base_w, _) = (
         system.columns[i] for i in (0, 2 * g, 3 * g))
     if (v_poly.degree() > g - 1 or w_poly.degree() > g - 2
-            or base_u * Poly.monomial(1, 2 * g) + base_v * v_poly
+            or base_u.shift(2 * g) + base_v * v_poly
             + base_w * w_poly):
         decline("the kernel vector does not check")
     return 1
@@ -299,15 +304,18 @@ def deform(g: int, solution: dict, maps) -> FamilyInstance:
     its unperturbed (t = 0) value, f1 = X/B^2 and f2 = x^(g-1) A/B^3 with
     X = x^(2g-1) and (A, B) the maps.  Exactness is the cleared identity
     x^(2g-2) A^2 S = X (X + B^2) (X + t B^2) over Q[t], checked on the A, B
-    and S the cover is built from.  Proof: with q = x (x+1) (x+t), the
-    cover identity f2^2 S = q(f1) times B^6 != 0 is that identity.
+    and S the cover is built from with x^(2g-2) cancelled, which is exact
+    as Q[t][x] has no zero divisors: A^2 S = x (X + B^2) (X + t B^2), whose
+    parts are shifts.  Proof: with q = x (x+1) (x+t), the cover identity
+    f2^2 S = q(f1) times B^6 != 0 is that identity.
     """
     a_poly, b_poly = maps
     source = _perturbed_source(g, solution)
-    x = Poly.variable()
-    big_x, b_sq = x ** (2 * g - 1), b_poly * b_poly
-    if (x ** (2 * g - 2) * a_poly * a_poly * source
-            != big_x * (big_x + b_sq) * TPoly([big_x, b_sq])):
+    b_sq = b_poly * b_poly
+    big_x_plus_b_sq = Poly.monomial(1, 2 * g - 1) + b_sq
+    if (a_poly * a_poly * source
+            != TPoly([big_x_plus_b_sq.shift(2 * g),
+                      (big_x_plus_b_sq * b_sq).shift(1)])):
         raise FirstOrderOnly(
             f"first-order deformation did not globalize at genus {g}"
         )

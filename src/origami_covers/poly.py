@@ -156,7 +156,7 @@ class Poly:
 
     @classmethod
     def monomial(cls, coefficient, exponent):
-        return cls([0] * exponent + [coefficient])
+        return cls.constant(coefficient).shift(exponent)
 
     # -- structure ---------------------------------------------------------
 
@@ -254,6 +254,15 @@ class Poly:
         return _make(ints, self.content * other.content)
 
     __rmul__ = __mul__
+
+    def shift(self, n: int) -> "Poly":
+        """self * x^n, by moving the primitive tuple up n places: the
+        content stays and no product is made."""
+        if not isinstance(n, int) or n < 0:
+            raise ValueError("exponent must be a nonnegative integer")
+        if not self.ints:
+            return self
+        return _make((0,) * n + self.ints, self.content)
 
     def __pow__(self, n: int):
         return _power(self, n, Poly.constant(1))

@@ -270,6 +270,15 @@ class TestDeformation:
             deformation_report(1)
 
 
+class TestOrderZeroCheck:
+    @pytest.mark.parametrize("g", range(2, 7))
+    def test_a_broken_degenerate_cover_is_refused(self, g):
+        # A^2 (x+1) = X + B^2 fails when B is doubled.
+        a, b = _map_polys(g)
+        with pytest.raises(PipelineError, match=re.escape("order t^0")):
+            assemble_deformation_system(g, (a, 2 * b))
+
+
 class TestExactnessCertificate:
     """``deform``'s cleared identity against the full cover identity."""
 

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import nonzero_polys, polys, rationals, tpolys
 from math_oracle import squarefree_part
@@ -90,6 +91,24 @@ class TestPower:
         for n in range(7):
             assert a**n == expected
             expected = expected * a
+
+
+class TestShift:
+    @given(p=polys(), n=st.integers(min_value=0, max_value=40))
+    @example(p=Poly([]), n=7)
+    @example(p=Poly([Fraction(-2, 3), 0, Fraction(5, 6)]), n=40)
+    def test_matches_product_by_monomial(self, p, n):
+        shifted = p.shift(n)
+        assert shifted == p * Poly.monomial(1, n)
+        assert (shifted.ints, shifted.content) == ((0,) * n + p.ints
+                                                   if p else (), p.content)
+
+    @pytest.mark.parametrize("n", [-1, -2, 1.0, Fraction(2), "3"])
+    def test_refuses_a_negative_or_non_int_exponent(self, n):
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            (x + 1).shift(n)
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            Poly.monomial(1, n)
 
 
 class TestGcd:
