@@ -1,5 +1,12 @@
 """Exact construction, combinatorics, and certification of totally ramified
-covers of Legendre-family elliptic curves."""
+covers of Legendre-family elliptic curves.
+
+The deformation pipeline, the origami combinatorics and the self-test
+battery are not imported here, so that loading the package for ``generate``
+and ``verify`` does not load them; import their names from
+:mod:`origami_covers.degeneration`, :mod:`origami_covers.origami` and
+:mod:`origami_covers.selftest`.
+"""
 
 __version__ = "0.1.0"
 
@@ -15,26 +22,12 @@ from .curves import (  # noqa: F401
     specialize_t,
     verify_cover_identity,
 )
-from .degeneration import (  # noqa: F401
-    deform,
-    two_branch_map,
-)
 from .family import (  # noqa: F401
     FamilyInstance,
     build_family,
     companion_identities,
     j_poly,
     k_poly,
-)
-from .origami import (  # noqa: F401
-    OrigamiDiagram,
-    Permutation,
-    commutator,
-    genus,
-    is_connected,
-    monodromy_cycle_type,
-    staircase,
-    vertex_count,
 )
 from .poly import Poly, binomial, poly_gcd  # noqa: F401
 from .ratfunc import RatFunc  # noqa: F401

@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, degeneration, family, origami
+from . import __version__, family
 from .curves import (
     cover_from_json,
     cover_to_dict,
@@ -23,7 +23,6 @@ from .curves import (
 from .errors import OrigamiCoversError, UnsupportedShape
 from .parsing import format_poly, format_ratfunc
 from .poly import Poly
-from .selftest import run_selftest
 
 DEFAULT_MAX_GENUS = 64
 
@@ -157,6 +156,8 @@ def cmd_verify(args, parser) -> int:
 
 
 def cmd_origami(args, parser) -> int:
+    # Imported here: only this command runs it, so start-up leaves it out.
+    from . import origami
     _genus_guard(parser, args.genus, args.max_genus)
     g = args.genus
     diagram = origami.staircase(g)
@@ -186,6 +187,8 @@ def cmd_origami(args, parser) -> int:
 
 
 def cmd_degenerate(args, parser) -> int:
+    # Imported here: only this command runs it, so start-up leaves it out.
+    from . import degeneration
     _genus_guard(parser, args.genus, args.max_genus, minimum=2)
     g = args.genus
     try:
@@ -223,6 +226,10 @@ def cmd_degenerate(args, parser) -> int:
 
 
 def cmd_selftest(args, parser) -> int:
+    # Imported here: only this command runs it, so start-up leaves it out.
+    from .selftest import run_selftest
+    if args.max_genus < 2:
+        parser.error("--max-genus must be >= 2")
     results = run_selftest(max_genus=args.max_genus)
     ok = True
     for result in results:

@@ -11,7 +11,9 @@ involves ``t`` may have at most ``MAX_PARSE_DEGREE + 1`` rational
 coefficients in all).  Coefficients are capped at :data:`MAX_COEFF_BITS`
 bits: integer literals by their digit count, products and powers by a bound
 on their coefficients taken before multiplying, and sums once they are
-finished.  So no text can make the parser run for long.  Breaking a cap
+finished.  So no text can make the parser run for long.  Parentheses and
+unary signs may nest at most :data:`MAX_NESTING` deep, so no text can make
+the recursive descent exhaust the interpreter's stack.  Breaking a cap
 raises :class:`ParseError`.
 
 The text is split into tokens by one regular-expression scan.  A product of
@@ -51,6 +53,11 @@ MAX_PARSE_DEGREE = 512
 # holds (in j^3 at the default --max-genus of 64), and well below the ~14,000
 # bits at which CPython refuses to convert an int to or from decimal text.
 MAX_COEFF_BITS = 4096
+# Generated documents nest at most 2 deep.  Each parenthesis costs the parser
+# three stack frames and each unary sign one, so text at this depth stays far
+# inside CPython's default recursion limit of 1000, whatever the caller's
+# stack depth.
+MAX_NESTING = 100
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+|[-+*/^()])|(\S))")
 # d digits stay below 10^d < 2^(10d/3), so a literal of at most this many
@@ -199,7 +206,14 @@ class _Parser:
     otherwise."""
 
     def __init__(self, tokens):
-        self.tokens, self.pos = tokens, 0
+        self.tokens, self.pos, self.depth = tokens, 0, 0
+
+    def nest(self):
+        """Enter one more parenthesis or unary sign."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(
+                f"expression nests deeper than the limit {MAX_NESTING}")
 
     def parse(self) -> _Expr:
         value = self.expr()
@@ -284,13 +298,17 @@ class _Parser:
         elif tok == "t":
             value = (1, 1, 0)
         elif tok == "-" or tok == "+":
+            self.nest()
             value = self.factor()
+            self.depth -= 1
             if tok == "+":
                 return value
             return ((-value[0], value[1], value[2]) if type(value) is tuple
                     else -value)
         elif tok == "(":
+            self.nest()
             value = self.expr()
+            self.depth -= 1
             if tokens[self.pos] != ")":
                 raise ParseError(f"expected ')', found {tokens[self.pos]!r}")
             self.pos += 1

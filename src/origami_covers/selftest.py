@@ -16,7 +16,7 @@ from .curves import (
     specialize_t,
     verify_cover_identity,
 )
-from .errors import NotDivisible
+from .errors import InvalidGenus, NotDivisible
 from .parsing import format_poly, parse_poly
 from .poly import Poly
 
@@ -246,7 +246,12 @@ def run_selftest(max_genus: int = 12):
     g = 1..max(max_genus, 3) (the reference curves need g = 3), and the
     checks that need a family read it from that table; its cover identity is
     certified once, by :func:`check_family_identity`.
+
+    ``max_genus`` must be at least 2: below that the checks that start at
+    g = 2 would pass over empty ranges.
     """
+    if max_genus < 2:
+        raise InvalidGenus(f"max_genus must be >= 2, got {max_genus!r}")
     families = {
         g: family.family_instance(g) for g in range(1, max(max_genus, 3) + 1)
     }

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -16,6 +18,8 @@ from origami_covers import (
     selftest,
 )
 from origami_covers.cli import main
+from origami_covers.errors import InvalidGenus
+from origami_covers.parsing import MAX_NESTING
 from origami_covers.poly import Poly, TPoly
 
 
@@ -241,6 +245,21 @@ class TestVerify:
         assert out == ""
         assert err.startswith("error:") and "limit" in err
 
+    @pytest.mark.parametrize("text", ["(" * 400 + "x" + ")" * 400,
+                                      "-" * 1000 + "x"],
+                             ids=["parentheses", "signs"])
+    def test_deep_nesting_exits_two(self, capsys, tmp_path, text):
+        # Refused by the parser's nesting cap, not by a RecursionError.
+        _, out, _ = run(capsys, "generate", "--genus", "2")
+        doc = dict(json.loads(out)["cover"], source_rhs=text)
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err == ("error: field 'source_rhs': expression nests deeper"
+                       f" than the limit {MAX_NESTING}\n")
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2
@@ -384,6 +403,21 @@ class TestSelftest:
         lines = out.splitlines()
         assert "[FAIL] family_cover_identity: failed at g=2" in lines
 
+    @pytest.mark.parametrize("max_genus", [1, 0, -3])
+    def test_max_genus_below_two_is_a_usage_error(self, capsys, max_genus):
+        # Below 2 the checks that start at g = 2 would pass vacuously.
+        with pytest.raises(SystemExit) as exc:
+            run(capsys, "selftest", "--max-genus", str(max_genus))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+        with pytest.raises(InvalidGenus):
+            selftest.run_selftest(max_genus)
+
+    def test_max_genus_two_runs(self, capsys):
+        code, out, _ = run(capsys, "selftest", "--max-genus", "2")
+        assert code == 1
+        assert len(out.splitlines()) == 9
+
 
 class TestUsage:
     def test_no_command(self, capsys):
@@ -408,11 +442,64 @@ class TestUsage:
         assert args.max_genus == 7
 
 
-def test_import_leaves_out_dataclasses():
-    # -S keeps site hooks out, so only the package's own imports count.
+def run_fresh(*args):
+    """Run ``python -S *args`` in a new interpreter with the package on its
+    path; -S keeps site hooks out, so only the package's own imports count."""
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    probe = "import sys, origami_covers.cli; print('dataclasses' in sys.modules)"
-    done = subprocess.run([sys.executable, "-S", "-c", probe],
+    return subprocess.run([sys.executable, "-S", *args],
                           env=dict(os.environ, PYTHONPATH=src),
-                          capture_output=True, text=True, check=True)
-    assert done.stdout == "False\n"
+                          capture_output=True)
+
+
+def test_import_leaves_out_dataclasses():
+    # selftest imports every module, so every record class is built.
+    probe = ("import sys, origami_covers.cli, origami_covers.selftest;"
+             " print('dataclasses' in sys.modules)")
+    assert run_fresh("-c", probe).stdout == b"False\n"
+
+
+# What generate and verify run; degeneration, origami and selftest are
+# imported by their own commands only.
+EAGER_MODULES = sorted(["origami_covers", "origami_covers.cli"] + [
+    f"origami_covers.{name}"
+    for name in ("errors", "poly", "ratfunc", "parsing", "curves", "family")])
+
+
+def test_generate_and_verify_load_only_what_they_run(tmp_path):
+    probe = textwrap.dedent("""
+        import contextlib, io, json, sys
+        from origami_covers import cli
+        def loaded():
+            return sorted(m for m in sys.modules
+                          if m.split(".")[0] == "origami_covers")
+        sets = [loaded()]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            codes = [cli.main(["generate", "--genus", "2"])]
+        with open(sys.argv[1], "w") as fh:
+            fh.write(out.getvalue())
+        sets.append(loaded())
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes.append(cli.main(["verify", sys.argv[1]]))
+        sets.append(loaded())
+        print(json.dumps([sets, codes]))
+    """)
+    done = run_fresh("-c", probe, str(tmp_path / "cover.json"))
+    assert done.returncode == 0, done.stderr
+    sets, codes = json.loads(done.stdout)
+    assert codes == [0, 0]
+    assert sets == [EAGER_MODULES] * 3
+
+
+@pytest.mark.parametrize("argv", [["degenerate", "--genus", "2"],
+                                  ["origami", "--genus", "3"],
+                                  ["selftest", "--max-genus", "4"]],
+                         ids=" ".join)
+def test_deferred_command_from_a_cold_process(argv):
+    # test_golden runs in-process, where every module is already imported.
+    golden = os.path.join(os.path.dirname(__file__), "golden_outputs.json")
+    with open(golden, encoding="utf-8") as fh:
+        case, = (case for case in json.load(fh) if case["argv"] == argv)
+    done = run_fresh("-m", "origami_covers.cli", *argv)
+    assert (done.returncode, hashlib.sha256(done.stdout).hexdigest()) == (
+        case["exit"], case["sha256"])

@@ -12,6 +12,7 @@ from origami_covers.errors import ParseError
 from origami_covers.family import j_poly
 from origami_covers.parsing import (
     MAX_COEFF_BITS,
+    MAX_NESTING,
     MAX_PARSE_DEGREE,
     format_poly,
     format_ratfunc,
@@ -119,6 +120,33 @@ class TestDegreeCap:
         # j^3 at the default --max-genus of 64 holds 478-bit coefficients.
         p = j_poly(64) ** 3
         assert parse_poly(format_poly(p)) == p
+
+
+class TestNesting:
+    """Parentheses and unary signs nest at most MAX_NESTING deep, so the
+    verdict never depends on how much stack the caller has left."""
+
+    def test_fifty_parentheses_parse(self):
+        assert parse_poly("(" * 50 + "x" + ")" * 50) == x
+
+    @pytest.mark.parametrize("opening", ["(", "-", "+", "-("],
+                             ids=["parentheses", "minus", "plus", "mixed"])
+    def test_cap_itself_is_accepted(self, opening):
+        depth = MAX_NESTING // len(opening)
+        text = opening * depth + "x" + ")" * opening.count("(") * depth
+        assert parse_poly(text) in (x, -x)
+
+    @pytest.mark.parametrize("text", [
+        "(" * 400 + "x" + ")" * 400,
+        "-" * 1000 + "x",
+        "(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+        "-" * (MAX_NESTING + 1) + "x",
+        "-(" * (MAX_NESTING // 2) + "-x" + ")" * (MAX_NESTING // 2),
+    ], ids=["parentheses-400", "minus-1000", "parentheses-over-cap",
+            "minus-over-cap", "mixed-over-cap"])
+    def test_over_the_cap_is_refused(self, text):
+        with pytest.raises(ParseError, match="nests deeper than the limit"):
+            parse_poly(text)
 
 
 class TestMonomialTerms:
