@@ -29,5 +29,5 @@ from .family import (  # noqa: F401
     j_poly,
     k_poly,
 )
-from .poly import Poly, binomial, poly_gcd  # noqa: F401
+from .poly import Poly, poly_gcd  # noqa: F401
 from .ratfunc import RatFunc  # noqa: F401

@@ -54,8 +54,8 @@ def _family_document(g: int) -> tuple[dict, list]:
     identity = verify_cover_identity(inst.cover)
     pullback = pullback_invariant_differential(inst.cover)
     report = ramification_report(inst.cover)
-    companions = family.companion_identities(g)
-    expected_pullback = (2 * g - 1) * Poly.variable() ** (g - 1)
+    companions = family.companion_identities(inst)
+    expected_pullback = Poly.monomial(2 * g - 1, g - 1)
     checks = [
         _check("cover_identity", identity.ok, "formal identity over Q(t)"),
         _check(

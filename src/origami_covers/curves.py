@@ -13,7 +13,6 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 from itertools import zip_longest
-from typing import NamedTuple
 
 from .errors import InvalidCover, InvalidCurve, ParseError, UnsupportedShape
 from .parsing import (
@@ -46,37 +45,39 @@ class HyperellipticCurve(namedtuple("HyperellipticCurve", "rhs")):
         return len(self.rhs.parts) <= 1
 
 
-class CoverMap(NamedTuple):
+class CoverMap(namedtuple("CoverMap", "f1 f2")):
     """The map (x, y) -> (f1(x), f2(x)*y)."""
 
-    f1: RatFunc
-    f2: RatFunc
+    __slots__ = ()
 
 
-class Cover(NamedTuple):
-    source: HyperellipticCurve
-    target: HyperellipticCurve
-    map: CoverMap
-    degree: int
+class Cover(namedtuple("Cover", "source target map degree")):
+    """A cover of the curve ``target`` by the curve ``source`` along ``map``,
+    of the declared ``degree``."""
+
+    __slots__ = ()
 
 
-class CoverCertificate(NamedTuple):
+class CoverCertificate(namedtuple("CoverCertificate", "ok witness")):
     """Result of the formal cover-identity check; ``witness`` names the first
     differing coefficient, and is empty when the identity holds."""
 
-    ok: bool
-    witness: str
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
 
 
-class RamificationReport(NamedTuple):
-    branch_point_x: Fraction
-    ramification_index: int
-    pullback_coefficient: RatFunc
-    vanishing_order_at_origin: int
-    riemann_hurwitz_balanced: bool
+class RamificationReport(namedtuple(
+        "RamificationReport",
+        "branch_point_x ramification_index pullback_coefficient"
+        " vanishing_order_at_origin riemann_hurwitz_balanced")):
+    """The certified ramification at the origin: the branch point's x, the
+    ramification index there, the coefficient of dx/y in the pulled-back
+    differential, its vanishing order at the origin, and whether
+    Riemann-Hurwitz balances with that single branch point."""
+
+    __slots__ = ()
 
 
 def genus_arithmetic(curve: HyperellipticCurve) -> int:

@@ -13,15 +13,16 @@ re-certified exactly.
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 # Not called here: the benchmark's tracer wraps this binding, and its tests
-# require every binding it wraps to exist (ROADMAP item 3 drops that).
+# require every binding it wraps to exist (ROADMAP item 6 drops that).
 from .curves import verify_cover_identity  # noqa: F401
 from .errors import FirstOrderOnly, InvalidDegree, InvalidGenus, PipelineError
 from .family import FamilyInstance, family_from
-from .poly import ZERO, Poly, TPoly, binomial, poly_gcd
+from .poly import ZERO, Poly, TPoly, poly_gcd
 from .ratfunc import RatFunc
 
 
@@ -45,7 +46,7 @@ def two_branch_map(n: int) -> RatFunc:
     """
     if not isinstance(n, int) or n < 1 or n % 2 == 0:
         raise InvalidDegree(f"degree must be an odd positive integer, got {n!r}")
-    coeffs = [binomial(n, k) for k in range(n + 1)]
+    coeffs = [math.comb(n, k) for k in range(n + 1)]
     odd = Poly([c if k % 2 else 0 for k, c in enumerate(coeffs)])
     even = Poly([0 if k % 2 else c for k, c in enumerate(coeffs)])
     return RatFunc(odd, even)
@@ -70,7 +71,8 @@ def _map_polys(g: int):
 # -- first-order deformation ----------------------------------------------
 
 
-class DeformationAnsatz(NamedTuple):
+class DeformationAnsatz(namedtuple(
+        "DeformationAnsatz", "genus curve_unknowns den_unknowns num_unknowns")):
     """Unknown layout for the first-order perturbation at a given genus.
 
     Curve unknowns multiply t*x^i for every source coefficient below the two
@@ -78,10 +80,7 @@ class DeformationAnsatz(NamedTuple):
     non-leading numerator coefficient of the degenerate map at order t.
     """
 
-    genus: int
-    curve_unknowns: tuple
-    den_unknowns: tuple
-    num_unknowns: tuple
+    __slots__ = ()
 
     @property
     def unknowns(self) -> tuple:
@@ -108,16 +107,14 @@ def _perturbed_source(g: int, values: dict) -> TPoly:
                   Poly([0] + [values[name] for name in reversed(names)])])
 
 
-class DeformationSystem(NamedTuple):
+class DeformationSystem(namedtuple(
+        "DeformationSystem", "genus maps columns rhs")):
     """The order-t linear system as polynomials: column j holds the
     coefficients of base * x^shift for (base, shift) = columns[j], in
     :func:`deformation_ansatz` order; ``maps`` is the (A, B) they come from.
     """
 
-    genus: int
-    maps: tuple
-    columns: tuple
-    rhs: Poly
+    __slots__ = ()
 
     @property
     def rows(self) -> int:
@@ -215,7 +212,8 @@ def certify_nullity(system: DeformationSystem) -> int:
     return 1
 
 
-class DeformationSolution(NamedTuple):
+class DeformationSolution(namedtuple(
+        "DeformationSolution", "consistent solution nullity")):
     """Outcome of :func:`solve_exact`.
 
     ``consistent`` says whether the system has a solution at all.
@@ -225,9 +223,7 @@ class DeformationSolution(NamedTuple):
     map).  ``nullity`` is the certified dimension of the kernel.
     """
 
-    consistent: bool
-    solution: tuple | None
-    nullity: int
+    __slots__ = ()
 
 
 def _valuation(p: Poly) -> int:
@@ -270,15 +266,17 @@ def solve_exact(system: DeformationSystem) -> DeformationSolution:
     return DeformationSolution(consistent, solution, nullity)
 
 
-class DeformationReport(NamedTuple):
-    genus: int
-    ansatz: DeformationAnsatz
-    rows: int
-    cols: int
-    consistent: bool
-    solution: dict  # empty when no solution keeps the map unperturbed
-    nullity: int
-    instance: FamilyInstance | None  # the deformed cover, None if not exact
+class DeformationReport(namedtuple(
+        "DeformationReport",
+        "genus ansatz rows cols consistent solution nullity instance")):
+    """Summary of the pipeline at one genus: the ansatz, the size of the
+    order-t system, whether it is consistent, the ``solution`` by unknown
+    name (empty when no solution keeps the map unperturbed), the certified
+    nullity, and the deformed cover as a :class:`FamilyInstance`, or None
+    when it is not exact.
+    """
+
+    __slots__ = ()
 
     @property
     def exact(self) -> bool:

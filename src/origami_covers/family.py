@@ -11,7 +11,8 @@ odd binomial companion polynomials of degree g-1.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+import math
+from collections import namedtuple
 
 from .curves import (
     Cover,
@@ -21,7 +22,7 @@ from .curves import (
     verify_cover_identity,
 )
 from .errors import InvalidGenus, PipelineError
-from .poly import Poly, TPoly, binomial
+from .poly import Poly, TPoly
 from .ratfunc import RatFunc
 
 
@@ -29,7 +30,7 @@ def j_poly(g: int) -> Poly:
     """Sum of binomial(2g-1, 2i) * (x+1)^i for i = 0..g-1, expanded by
     Horner's rule in x+1."""
     _check_genus(g)
-    return Poly([binomial(2 * g - 1, 2 * i)
+    return Poly([math.comb(2 * g - 1, 2 * i)
                  for i in range(g)]).compose(Poly([1, 1]))
 
 
@@ -37,7 +38,7 @@ def k_poly(g: int) -> Poly:
     """Sum of binomial(2g-1, 2i+1) * (x+1)^i for i = 0..g-1, expanded by
     Horner's rule in x+1."""
     _check_genus(g)
-    return Poly([binomial(2 * g - 1, 2 * i + 1)
+    return Poly([math.comb(2 * g - 1, 2 * i + 1)
                  for i in range(g)]).compose(Poly([1, 1]))
 
 
@@ -46,31 +47,30 @@ def _check_genus(g: int):
         raise InvalidGenus(f"genus must be an integer >= 1, got {g!r}")
 
 
-class FamilyInstance(NamedTuple):
-    genus: int
-    j: Poly
-    k: Poly
-    cover: Cover
+class FamilyInstance(namedtuple("FamilyInstance", "genus j k cover")):
+    """The genus-g family: its companion polynomials j and k and the cover
+    built from them."""
+
+    __slots__ = ()
 
 
-class CompanionCertificate(NamedTuple):
-    """Outcome of the two polynomial identities underpinning the cover."""
+class CompanionCertificate(namedtuple(
+        "CompanionCertificate", "ok product_identity derivative_identity")):
+    """Outcome of the two polynomial identities underpinning the cover:
+    ``product_identity`` is (x+1) k^2 = j^2 + x^(2g-1) and
+    ``derivative_identity`` is (2g-1) j - 2x j' = (2g-1) k."""
 
-    ok: bool
-    product_identity: bool   # (x+1) k^2 = j^2 + x^(2g-1)
-    derivative_identity: bool  # (2g-1) j - 2x j' = (2g-1) k
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
 
 
-def companion_identities(g: int) -> CompanionCertificate:
-    _check_genus(g)
-    j = j_poly(g)
-    k = k_poly(g)
-    x = Poly.variable()
-    prod_ok = (x + 1) * k * k == j * j + x ** (2 * g - 1)
-    deriv_ok = (2 * g - 1) * j - 2 * x * j.derivative() == (2 * g - 1) * k
+def companion_identities(inst: FamilyInstance) -> CompanionCertificate:
+    """Check both identities on the instance's own j and k."""
+    n, j, k = 2 * inst.genus - 1, inst.j, inst.k
+    prod_ok = Poly([1, 1]) * k * k == j * j + Poly.monomial(1, n)
+    deriv_ok = n * j - 2 * j.derivative().shift(1) == n * k
     return CompanionCertificate(
         ok=prod_ok and deriv_ok,
         product_identity=prod_ok,
@@ -80,34 +80,32 @@ def companion_identities(g: int) -> CompanionCertificate:
 
 def legendre_curve() -> HyperellipticCurve:
     """E_t : y^2 = x (x+1) (x+t) over Q[t], expanded."""
-    x = Poly.variable()
-    x_x1 = x * (x + 1)
-    return HyperellipticCurve(TPoly([x_x1 * x, x_x1]))
+    x_x1 = Poly([0, 1, 1])
+    return HyperellipticCurve(TPoly([x_x1.shift(1), x_x1]))
 
 
 def _source_rhs(g: int, j: Poly) -> TPoly:
     """x (x+1) (x^(2g-1) + t j^2) over Q[t], expanded."""
-    x = Poly.variable()
-    x_x1 = x * (x + 1)
-    return TPoly([x_x1 * x ** (2 * g - 1), x_x1 * j * j])
+    x_plus_1 = Poly([1, 1])
+    return TPoly([x_plus_1.shift(2 * g), (x_plus_1 * j * j).shift(1)])
 
 
-def family_source_curve(g: int) -> HyperellipticCurve:
-    """C_t : y^2 = x (x+1) (x^(2g-1) + t j(x)^2) over Q[t], expanded."""
-    _check_genus(g)
-    return HyperellipticCurve(_source_rhs(g, j_poly(g)))
+def _family_polys(g: int):
+    """(j, k, source right-hand side) of the genus-g family, each built
+    once and the source from that j."""
+    j = j_poly(g)
+    return j, k_poly(g), _source_rhs(g, j)
 
 
 def family_from(g: int, j: Poly, k: Poly, source_rhs) -> FamilyInstance:
     """The degree-(2g-1) cover of the Legendre curve by y^2 = source_rhs with
     map (x, y) -> (x^(2g-1)/j^2, x^(g-1) k / j^3 * y), not certified."""
-    x = Poly.variable()
-    f1 = RatFunc(x ** (2 * g - 1), j * j)
-    f2 = RatFunc(x ** (g - 1) * k, j * j * j)
+    j_sq = j * j
     cover = Cover(
         source=HyperellipticCurve(source_rhs),
         target=legendre_curve(),
-        map=CoverMap(f1=f1, f2=f2),
+        map=CoverMap(f1=RatFunc(Poly.monomial(1, 2 * g - 1), j_sq),
+                     f2=RatFunc(k.shift(g - 1), j_sq * j)),
         degree=2 * g - 1,
     )
     return FamilyInstance(genus=g, j=j, k=k, cover=cover)
@@ -115,24 +113,21 @@ def family_from(g: int, j: Poly, k: Poly, source_rhs) -> FamilyInstance:
 
 def family_instance(g: int) -> FamilyInstance:
     """The genus-g family cover, constructed but not certified."""
-    _check_genus(g)
-    return family_from(g, j_poly(g), k_poly(g), family_source_curve(g).rhs)
+    return family_from(g, *_family_polys(g))
 
 
 def is_family_instance(inst: FamilyInstance, g: int) -> bool:
     """Whether an instance built by :func:`family_from` is the genus-g family,
     decided without building the family's map.
 
-    :func:`family_instance` is ``family_from`` applied to (g, j_poly(g),
-    k_poly(g), family_source_curve(g).rhs), and every field of a
-    ``family_from`` instance is a function of its four arguments, which it
-    stores as the genus, j, k and the source.  So for such an instance this
-    is equivalent to ``inst == family_instance(g)``.  The expected source is
-    built from the j just compared, so j is built once.
+    :func:`family_instance` is ``family_from`` applied to g and
+    ``_family_polys(g)``, and every field of a ``family_from`` instance is a
+    function of its four arguments, which it stores as the genus, j, k and
+    the source.  So for such an instance this is equivalent to
+    ``inst == family_instance(g)``.
     """
-    j = j_poly(g)
-    return (inst.genus == g and inst.j == j and inst.k == k_poly(g)
-            and inst.cover.source.rhs == _source_rhs(g, j))
+    return (inst.genus == g
+            and (inst.j, inst.k, inst.cover.source.rhs) == _family_polys(g))
 
 
 def build_family(g: int) -> FamilyInstance:

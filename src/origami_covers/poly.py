@@ -34,15 +34,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def binomial(n: int, k: int) -> int:
-    """Exact binomial coefficient; 0 when k > n."""
-    if n < 0 or k < 0:
-        raise InvalidInput("binomial requires nonnegative arguments")
-    if k > n:
-        return 0
-    return math.comb(n, k)
-
-
 def _power(base, n: int, one):
     """base**n by square-and-multiply, squaring only while bits remain."""
     if not isinstance(n, int) or n < 0:

@@ -22,7 +22,7 @@ from origami_covers.errors import (
     ParseError,
     UnsupportedShape,
 )
-from origami_covers.family import build_family, family_source_curve
+from origami_covers.family import build_family, family_instance
 from origami_covers.poly import Poly
 from origami_covers.ratfunc import RatFunc
 
@@ -73,11 +73,11 @@ class TestGenus:
 
 class TestSpecialization:
     def test_family_at_zero(self):
-        source = family_source_curve(2)
+        source = family_instance(2).cover.source
         assert specialize_t(source, 0).rhs == x**4 * (x + 1)
 
     def test_family_at_one(self):
-        source = family_source_curve(2)
+        source = family_instance(2).cover.source
         at1 = specialize_t(source, 1)
         assert at1.is_over_q()
         # t=1 plugs j^2 into the inner factor: x(x+1)(x^3 + j(x)^2).

@@ -1,9 +1,12 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from origami_covers import family
+from origami_covers.cli import main
 from origami_covers.curves import (
     pullback_invariant_differential,
     ramification_report,
@@ -16,7 +19,6 @@ from origami_covers.family import (
     companion_identities,
     family_from,
     family_instance,
-    family_source_curve,
     is_family_instance,
     j_poly,
     k_poly,
@@ -55,9 +57,23 @@ class TestCompanionPolynomials:
 
     @given(g=genera)
     def test_identities(self, g):
-        cert = companion_identities(g)
+        cert = companion_identities(family_instance(g))
         assert cert.ok
         assert cert.product_identity and cert.derivative_identity
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 6])
+    @pytest.mark.parametrize("change", [
+        lambda j, k: (j, k + Poly.monomial(1, k.degree())),
+        lambda j, k: (2 * j, k),
+    ], ids=["k-one-coefficient", "j-doubled"])
+    def test_wrong_instance_declined(self, g, change):
+        # The certificate covers the instance's own j and k, so a cover
+        # built from wrong ones fails it.
+        inst = family_instance(g)
+        j, k = change(inst.j, inst.k)
+        cert = companion_identities(family_from(g, j, k, inst.cover.source.rhs))
+        assert not cert
+        assert not cert.product_identity and not cert.derivative_identity
 
 
 class TestCurves:
@@ -67,13 +83,13 @@ class TestCurves:
         assert specialize_t(curve, 0).rhs == x * x * (x + 1)
 
     def test_genus_two_source(self):
-        got = family_source_curve(2).rhs
+        got = family_instance(2).cover.source.rhs
         assert got == parse_poly(
             "x^5 + (1 + 9*t)*x^4 + 33*t*x^3 + 40*t*x^2 + 16*t*x"
         )
 
     def test_genus_three_source(self):
-        got = family_source_curve(3).rhs
+        got = family_instance(3).cover.source.rhs
         assert got == parse_poly(
             "x^7 + (1 + 25*t)*x^6 + 225*t*x^5 + 760*t*x^4 + 1200*t*x^3"
             " + 896*t*x^2 + 256*t*x"
@@ -81,7 +97,7 @@ class TestCurves:
 
     @given(g=genera)
     def test_source_specializes_to_degenerate(self, g):
-        rhs = specialize_t(family_source_curve(g), 0).rhs
+        rhs = specialize_t(family_instance(g).cover.source, 0).rhs
         assert rhs == x ** (2 * g) * (x + 1)
 
 
@@ -135,9 +151,29 @@ class TestFamilyPredicate:
         (lambda j, k, s: (j, k, s + TPoly([Poly(), x])), False),
     ], ids=["true", "j", "k", "source-t0", "source-t1"])
     def test_agrees_with_equality(self, g, change, is_family):
-        source = family_source_curve(g).rhs
+        source = family_instance(g).cover.source.rhs
         inst = family_from(g, *change(j_poly(g), k_poly(g), source))
         assert is_family_instance(inst, g) == is_family
         assert (inst == family_instance(g)) == is_family
         assert not is_family_instance(inst, g + 1)
         assert inst != family_instance(g + 1)
+
+
+class TestBuiltOnce:
+    """Each command builds the companion polynomials once per genus."""
+
+    @pytest.mark.parametrize("argv, genera", [
+        (["generate", "--genus", "5"], [5]),
+        (["selftest", "--max-genus", "3"], [1, 2, 3]),
+        (["degenerate", "--genus", "3"], [3]),
+    ], ids=["generate", "selftest", "degenerate"])
+    def test_j_and_k_built_once(self, monkeypatch, capsys, argv, genera):
+        calls = {"j_poly": Counter(), "k_poly": Counter()}
+        for name, counter in calls.items():
+            def counted(g, build=getattr(family, name), counter=counter):
+                counter[g] += 1
+                return build(g)
+            monkeypatch.setattr(family, name, counted)
+        main(argv)
+        capsys.readouterr()
+        assert calls == {name: Counter(genera) for name in calls}

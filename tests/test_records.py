@@ -38,7 +38,7 @@ RECORDS = [
      lambda: family.build_family(2)),
     (family.CompanionCertificate,
      ("ok", "product_identity", "derivative_identity"),
-     lambda: family.companion_identities(2)),
+     lambda: family.companion_identities(family.family_instance(2))),
     (math_oracle.ParametrizedCurve, ("x_of_u", "y_of_u"),
      math_oracle.normalize_nodal_cubic),
     (degeneration.DeformationAnsatz,

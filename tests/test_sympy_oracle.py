@@ -20,7 +20,7 @@ from origami_covers.curves import (
     pullback_invariant_differential,
     specialize_t,
 )
-from origami_covers.family import build_family, family_source_curve
+from origami_covers.family import build_family, family_instance
 from origami_covers.parsing import (
     format_poly,
     format_ratfunc,
@@ -161,7 +161,7 @@ def test_geometric_genus_matches_sympy(a, b, c):
 @pytest.mark.parametrize("g", range(2, 9))
 @pytest.mark.parametrize("t", [0, 1, -1])
 def test_family_fibre_genus_matches_sympy(g, t):
-    fibre = specialize_t(family_source_curve(g), t)
+    fibre = specialize_t(family_instance(g).cover.source, t)
     assert genus_geometric(fibre) == oracle_genus(fibre.rhs)
 
 
