@@ -43,13 +43,18 @@ def two_branch_map(n: int) -> RatFunc:
     ((1+z)^n - (1-z)^n) / ((1+z)^n + (1-z)^n).  By the binomial theorem the
     two sides are twice the odd and twice the even part of (1+z)^n, so the
     map is sum_(k odd) C(n,k) z^k / sum_(k even) C(n,k) z^k.
+
+    That fraction is in lowest terms, so no gcd is taken: a common root of
+    (1+z)^n - (1-z)^n and (1+z)^n + (1-z)^n would be a root of their sum
+    2 (1+z)^n and of their difference 2 (1-z)^n, so it would be both -1
+    and 1.
     """
     if not isinstance(n, int) or n < 1 or n % 2 == 0:
         raise InvalidDegree(f"degree must be an odd positive integer, got {n!r}")
     coeffs = [math.comb(n, k) for k in range(n + 1)]
     odd = Poly([c if k % 2 else 0 for k, c in enumerate(coeffs)])
     even = Poly([0 if k % 2 else c for k, c in enumerate(coeffs)])
-    return RatFunc(odd, even)
+    return RatFunc.coprime(odd, even)
 
 
 def _map_polys(g: int):

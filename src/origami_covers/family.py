@@ -6,7 +6,17 @@ For each genus g >= 1 this builds the source curve
 
 with its degree-(2g-1) map (x, y) -> (x^(2g-1)/j^2, x^(g-1) k / j^3 * y) to
 the Legendre curve E_t : y^2 = x (x+1) (x+t), where j and k are the even and
-odd binomial companion polynomials of degree g-1.
+odd binomial companion polynomials of degree g-1: with u^2 = x+1,
+j = ((1+u)^n + (1-u)^n) / 2 and u k = ((1+u)^n - (1-u)^n) / 2 for n = 2g-1.
+
+Both are built from their closed forms, O(g) integer operations and no
+composition: [x^m] j = 4^(g-1-m) n binomial(n-m, m) / (n-m) and
+[x^m] k = 4^(g-1-m) binomial(n-1-m, m).  These are the coefficients of the
+Dickson polynomials D_n(2, -x) / 2 and E_(n-1)(2, -x), the second a scaled
+Chebyshev polynomial of the second kind (Lidl, Mullen and Turnwald,
+*Dickson Polynomials*, 1993, ch. 2; Mason and Handscomb, *Chebyshev
+Polynomials*, 2003, ch. 2).  The rediscovery pipeline in ``degeneration``
+derives the same pair by Horner composition, independently.
 """
 
 from __future__ import annotations
@@ -27,19 +37,32 @@ from .ratfunc import RatFunc
 
 
 def j_poly(g: int) -> Poly:
-    """Sum of binomial(2g-1, 2i) * (x+1)^i for i = 0..g-1, expanded by
-    Horner's rule in x+1."""
+    """Sum of binomial(2g-1, 2i) * (x+1)^i for i = 0..g-1, in closed form.
+
+    With n = 2g-1, [x^m] j = 4^(g-1-m) * n * binomial(n-m, m) / (n-m), and
+    the division is exact: j(x) = D_n(2, -x) / 2 for the Dickson polynomial
+    D_n(y, a) = sum_m n/(n-m) binomial(n-m, m) (-a)^m y^(n-2m) of the first
+    kind (Lidl, Mullen and Turnwald, *Dickson Polynomials*, ch. 2).
+    """
     _check_genus(g)
-    return Poly([math.comb(2 * g - 1, 2 * i)
-                 for i in range(g)]).compose(Poly([1, 1]))
+    n = 2 * g - 1
+    return Poly([(n * math.comb(n - m, m) // (n - m)) << 2 * (g - 1 - m)
+                 for m in range(g)])
 
 
 def k_poly(g: int) -> Poly:
-    """Sum of binomial(2g-1, 2i+1) * (x+1)^i for i = 0..g-1, expanded by
-    Horner's rule in x+1."""
+    """Sum of binomial(2g-1, 2i+1) * (x+1)^i for i = 0..g-1, in closed form.
+
+    With n = 2g-1, [x^m] k = 4^(g-1-m) * binomial(n-1-m, m): k(x) =
+    E_(n-1)(2, -x) for the Dickson polynomial E_(n-1)(y, a) =
+    sum_m binomial(n-1-m, m) (-a)^m y^(n-1-2m) of the second kind, that is
+    a^((n-1)/2) U_(n-1)(y / (2 sqrt a)) with U the Chebyshev polynomial of
+    the second kind (Mason and Handscomb, *Chebyshev Polynomials*, ch. 2).
+    """
     _check_genus(g)
-    return Poly([math.comb(2 * g - 1, 2 * i + 1)
-                 for i in range(g)]).compose(Poly([1, 1]))
+    n = 2 * g - 1
+    return Poly([math.comb(n - 1 - m, m) << 2 * (g - 1 - m)
+                 for m in range(g)])
 
 
 def _check_genus(g: int):
@@ -99,13 +122,24 @@ def _family_polys(g: int):
 
 def family_from(g: int, j: Poly, k: Poly, source_rhs) -> FamilyInstance:
     """The degree-(2g-1) cover of the Legendre curve by y^2 = source_rhs with
-    map (x, y) -> (x^(2g-1)/j^2, x^(g-1) k / j^3 * y), not certified."""
-    j_sq = j * j
+    map (x, y) -> (x^(2g-1)/j^2, x^(g-1) k / j^3 * y), not certified.
+
+    Lemma.  Let X = x^(2g-1).  If j(0) != 0 and (x+1) k^2 = j^2 + X, then
+    X/j^2 and x^(g-1) k/j^3 are in lowest terms.  A common root of j and k
+    is a root of X = (x+1) k^2 - j^2, so it is 0, which j(0) != 0 rules
+    out; and the only root of X and of x^(g-1) is 0.  So j is coprime to X,
+    to x^(g-1) and to k.  Both hypotheses are checked here, at the cost of
+    one product, k^2; when either fails the fractions are reduced by a gcd.
+    """
+    big_x = Poly.monomial(1, 2 * g - 1)
+    j_sq, k_sq = j * j, k * k
+    lowest = j.coefficient(0) and k_sq + k_sq.shift(1) == j_sq + big_x
+    fraction = RatFunc.coprime if lowest else RatFunc
     cover = Cover(
         source=HyperellipticCurve(source_rhs),
         target=legendre_curve(),
-        map=CoverMap(f1=RatFunc(Poly.monomial(1, 2 * g - 1), j_sq),
-                     f2=RatFunc(k.shift(g - 1), j_sq * j)),
+        map=CoverMap(f1=fraction(big_x, j_sq),
+                     f2=fraction(k.shift(g - 1), j_sq * j)),
         degree=2 * g - 1,
     )
     return FamilyInstance(genus=g, j=j, k=k, cover=cover)

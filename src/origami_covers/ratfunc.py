@@ -11,7 +11,9 @@ states its claim as a polynomial identity with cleared denominators.
 Coprimality is settled by :func:`poly.poly_gcd`.  For almost every coprime
 pair its first image, over GF(p) for p = 2^61 - 1, has degree 0 and proves
 it; any other pair goes on to further primes and a lift.  The canonical form
-is unique, so every route reaches the same representation.
+is unique, so every route reaches the same representation.  The one other
+route is :meth:`RatFunc.coprime`, for pairs whose coprimality a lemma has
+already settled.
 """
 
 from __future__ import annotations
@@ -33,17 +35,34 @@ class RatFunc:
 
     def __init__(self, num, den=1):
         num, den = _as_poly(num), _as_poly(den)
+        # Constants are coprime to everything nonzero.
+        if num and den and not (num.is_constant() or den.is_constant()):
+            g = poly_gcd(num, den)
+            if g.degree() > 0:
+                num = num.exact_div(g)
+                den = den.exact_div(g)
+        self._settle(num, den)
+
+    @classmethod
+    def coprime(cls, num, den):
+        """The canonical pair for num/den with no gcd taken.
+
+        The caller must already have proven gcd(num, den) = 1, by a lemma
+        stated where it is called; nothing here checks it.  The result is
+        then the pair ``RatFunc(num, den)`` would build.  Parsed input never
+        comes here: a document's fractions always go through the gcd.
+        """
+        r = object.__new__(cls)
+        r._settle(_as_poly(num), _as_poly(den))
+        return r
+
+    def _settle(self, num, den):
+        """Store coprime num, den with den primitive and positive-leading."""
         if not den:
             raise DivisionByZero("rational function with zero denominator")
         if not num:
             den = Poly.constant(1)
         else:
-            # Constants are coprime to everything nonzero.
-            if not (num.is_constant() or den.is_constant()):
-                g = poly_gcd(num, den)
-                if g.degree() > 0:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
             content, den = den.content_and_primitive()
             num = num * (1 / content)
         object.__setattr__(self, "num", num)

@@ -29,9 +29,9 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def assert_no_gcd_over_q(capsys, monkeypatch, *argv):
-    """Run a command and check that each of its gcds is settled by one image
-    over GF(p), with no rational reconstruction: no gcd over Q is taken."""
+def count_gcds(capsys, monkeypatch, *argv):
+    """Run a command, check that it exits 0, and count its calls to
+    ``poly_gcd``, to ``gcd_mod_p`` and to the rational lift ``_rational``."""
     counts = dict.fromkeys(("poly_gcd", "gcd_mod_p", "_rational"), 0)
 
     def counting(name, fn):
@@ -46,6 +46,13 @@ def assert_no_gcd_over_q(capsys, monkeypatch, *argv):
         monkeypatch.setattr(poly, name, counting(name, getattr(poly, name)))
     code, _, _ = run(capsys, *argv)
     assert code == 0
+    return counts
+
+
+def assert_no_gcd_over_q(capsys, monkeypatch, *argv):
+    """Run a command and check that each of its gcds is settled by one image
+    over GF(p), with no rational reconstruction: no gcd over Q is taken."""
+    counts = count_gcds(capsys, monkeypatch, *argv)
     assert counts["poly_gcd"] > 0
     assert counts["gcd_mod_p"] == counts["poly_gcd"]
     assert counts["_rational"] == 0
@@ -77,7 +84,10 @@ class TestGenerate:
         assert first == second
 
     def test_no_gcd_over_q(self, capsys, monkeypatch):
-        assert_no_gcd_over_q(capsys, monkeypatch, "generate", "--genus", "8")
+        # The family's fractions are in lowest terms by a checked lemma
+        # (family.family_from), so generate takes no gcd at all.
+        counts = count_gcds(capsys, monkeypatch, "generate", "--genus", "8")
+        assert counts == {"poly_gcd": 0, "gcd_mod_p": 0, "_rational": 0}
 
     def test_genus_guard(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -100,6 +110,31 @@ class TestGenerate:
 
 
 class TestVerify:
+    def test_parsed_documents_take_the_gcd(self, capsys, monkeypatch,
+                                           tmp_path):
+        # RatFunc.coprime trusts its caller's lemma; a document's fractions
+        # have none, so verify must never reach it.
+        sys.path.insert(0, os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+            "bench"))
+        try:
+            import oracle
+        finally:
+            sys.path.pop(0)
+        _, out, _ = run(capsys, "generate", "--genus", "12")
+        docs = [("generated-g12", out, 0)] + [
+            (doc["name"], doc["text"], doc["expect"])
+            for doc in oracle.build_corpus(1)]
+
+        def refuse(cls, num, den):
+            raise AssertionError("verify built a fraction without a gcd")
+        monkeypatch.setattr(ratfunc.RatFunc, "coprime", classmethod(refuse))
+        for name, text, expect in docs:
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            code, _, _ = run(capsys, "verify", str(path))
+            assert code == expect, name
+
     def test_roundtrip(self, capsys, tmp_path):
         _, out, _ = run(capsys, "generate", "--genus", "4")
         path = tmp_path / "cover.json"

@@ -1,11 +1,12 @@
+import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from origami_covers import family
+from origami_covers import curves, degeneration, family, poly, ratfunc
 from origami_covers.cli import main
 from origami_covers.curves import (
     pullback_invariant_differential,
@@ -26,6 +27,8 @@ from origami_covers.family import (
 )
 from origami_covers.parsing import format_poly, parse_poly
 from origami_covers.poly import Poly, TPoly
+from origami_covers.ratfunc import RatFunc
+from origami_covers.selftest import _oracle_companions
 
 x = Poly.variable()
 
@@ -74,6 +77,104 @@ class TestCompanionPolynomials:
         cert = companion_identities(family_from(g, j, k, inst.cover.source.rhs))
         assert not cert
         assert not cert.product_identity and not cert.derivative_identity
+
+
+def binomial_companions(g):
+    """j and k as the binomial sums of their definition, expanded by
+    Horner's rule in x+1."""
+    n, x_plus_1 = 2 * g - 1, Poly([1, 1])
+    return tuple(Poly([math.comb(n, 2 * i + odd) for i in range(g)])
+                 .compose(x_plus_1) for odd in (0, 1))
+
+
+def dickson_companions(g):
+    """D_n(2, -x) / 2 and E_(n-1)(2, -x) for n = 2g-1, by the recurrences
+    P_m = 2 P_(m-1) + x P_(m-2) from D_0 = 2, D_1 = 2 and E_0 = 1, E_1 = 2."""
+    def dickson(first, m):
+        before, current = first, Poly([2])
+        for _ in range(m - 1):
+            before, current = current, 2 * current + before.shift(1)
+        return current if m else first
+    n = 2 * g - 1
+    return dickson(Poly([2]), n) * Fraction(1, 2), dickson(Poly([1]), n - 1)
+
+
+class TestClosedForms:
+    """``j_poly`` and ``k_poly`` build their closed forms; these are the
+    companion polynomials by three other derivations."""
+
+    def test_binomial_sums_and_oracle(self):
+        for g in range(1, 129):
+            closed = j_poly(g), k_poly(g)
+            assert closed == binomial_companions(g), g
+            assert closed == _oracle_companions(g), g
+
+    @settings(max_examples=20)
+    @given(g=st.integers(min_value=1, max_value=256))
+    def test_dickson_recurrences(self, g):
+        assert (j_poly(g), k_poly(g)) == dickson_companions(g)
+
+    @pytest.mark.parametrize("argv, gcds, composes", [
+        (["generate", "--genus", "12"], 0, 0),
+        # certify_nullity's gcd, and _map_polys's two compositions: the
+        # rediscovery route stays independent of the closed forms.
+        (["degenerate", "--genus", "8"], 1, 2),
+    ], ids=["generate", "degenerate"])
+    def test_command_counts(self, monkeypatch, capsys, argv, gcds, composes):
+        calls = Counter()
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+        gcd = counting("poly_gcd", poly.poly_gcd)
+        for module in (poly, ratfunc, curves, degeneration):
+            monkeypatch.setattr(module, "poly_gcd", gcd)
+        monkeypatch.setattr(Poly, "compose",
+                            counting("compose", Poly.compose))
+        assert main(argv) == 0
+        capsys.readouterr()
+        assert (calls["poly_gcd"], calls["compose"]) == (gcds, composes)
+
+
+class TestLowestTerms:
+    """``family_from`` skips the gcd only when its lemma's hypotheses hold;
+    either way its fractions are the reduced ones."""
+
+    @staticmethod
+    def build(monkeypatch, g, j, k):
+        calls = []
+
+        def counted(a, b, _gcd=ratfunc.poly_gcd):
+            calls.append((a, b))
+            return _gcd(a, b)
+        monkeypatch.setattr(ratfunc, "poly_gcd", counted)
+        inst = family_from(g, j, k, family_instance(g).cover.source.rhs)
+        gcds = len(calls)
+        f = inst.cover.map
+        assert f.f1 == RatFunc(Poly.monomial(1, 2 * g - 1), j * j)
+        assert f.f2 == RatFunc(k.shift(g - 1), j * j * j)
+        return gcds
+
+    @pytest.mark.parametrize("g", [1, 2, 3, 6, 16])
+    def test_family_takes_no_gcd(self, monkeypatch, g):
+        assert self.build(monkeypatch, g, j_poly(g), k_poly(g)) == 0
+
+    @pytest.mark.parametrize("g", [2, 3, 6])
+    @pytest.mark.parametrize("change", [
+        lambda j, k: (x * j, k),
+        lambda j, k: (j, k + Poly.monomial(1, k.degree())),
+        lambda j, k: (j, k + 1),
+        lambda j, k: (j, j),
+    ], ids=["j-at-zero", "k-one-coefficient", "k-constant", "k-equals-j"])
+    def test_broken_hypothesis_takes_the_gcd(self, monkeypatch, g, change):
+        assert self.build(monkeypatch, g, *change(j_poly(g), k_poly(g))) == 2
+
+    @pytest.mark.parametrize("n", range(1, 32, 2))
+    def test_two_branch_map_in_lowest_terms(self, n):
+        m = degeneration.two_branch_map(n)
+        assert m == RatFunc(m.num, m.den)
 
 
 class TestCurves:

@@ -19,7 +19,7 @@ from origami_covers.cli import main
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_outputs.json")
 
 COMMANDS = (
-    [["generate", "--genus", str(g)] for g in (1, 2, 3, 5, 8, 12)]
+    [["generate", "--genus", str(g)] for g in (1, 2, 3, 5, 8, 12, 32, 64)]
     + [["generate", "--genus", str(g), "--format", "text"]
        for g in (1, 2, 3, 5, 8, 12)]
     + [["degenerate", "--genus", str(g)] for g in (2, 3, 5, 8, 16, 32, 64)]

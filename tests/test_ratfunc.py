@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 
 from conftest import nonzero_polys, polys
 from origami_covers import poly, ratfunc
@@ -86,3 +86,47 @@ class TestModularCertificate:
         assert calls == [(num, den)]
         assert r.num == canonical_num
         assert r.den == canonical_den
+
+
+class TestCoprime:
+    """``RatFunc.coprime`` takes no gcd and builds ``RatFunc``'s pair."""
+
+    @pytest.fixture(autouse=True)
+    def no_gcd(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("RatFunc.coprime took a gcd")
+        monkeypatch.setattr(ratfunc, "poly_gcd", refuse)
+
+    @staticmethod
+    def reduced(num, den):
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(ratfunc, "poly_gcd", poly.poly_gcd)
+            return RatFunc(num, den)
+
+    @pytest.mark.parametrize("num, den", [
+        (x, -2 * x + 1),
+        (3 * x * x - 1, 6 * x + 4),
+        (Fraction(5, 7) * x, Fraction(-9, 4) * x * x + Fraction(3, 2)),
+        (x ** 5, (3 * x + 4) ** 2),
+        (Poly([]), -4 * x * x + 2),
+        (Poly([6]), Poly([-4])),
+        (-2 * x + 6, Poly([Fraction(-3, 5)])),
+    ], ids=["negative", "non-primitive", "rational", "family", "zero",
+            "constants", "constant-den"])
+    def test_matches_reduced_pair(self, num, den):
+        r, expected = RatFunc.coprime(num, den), self.reduced(num, den)
+        assert (r.num, r.den) == (expected.num, expected.den)
+
+    @given(num=polys(), den=nonzero_polys())
+    def test_random_coprime_pairs(self, num, den):
+        assume(poly.poly_gcd(num, den).degree() <= 0)
+        r, expected = RatFunc.coprime(num, den), self.reduced(num, den)
+        assert (r.num, r.den) == (expected.num, expected.den)
+
+    def test_zero_denominator_raises(self):
+        with pytest.raises(DivisionByZero):
+            RatFunc.coprime(x, Poly([]))
+
+    def test_immutable(self):
+        with pytest.raises(AttributeError):
+            RatFunc.coprime(x, x + 1).num = x
