@@ -25,7 +25,6 @@ from .curves import (  # noqa: F401
 from .family import (  # noqa: F401
     FamilyInstance,
     build_family,
-    companion_identities,
     j_poly,
     k_poly,
 )

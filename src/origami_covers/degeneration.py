@@ -303,26 +303,26 @@ def solve_deformation(g: int, maps):
 def deform(g: int, solution: dict, maps) -> FamilyInstance:
     """Globalize the first-order solution and certify it exactly.
 
-    The candidate curve S takes the solved coefficients; the map is kept at
-    its unperturbed (t = 0) value, f1 = X/B^2 and f2 = x^(g-1) A/B^3 with
-    X = x^(2g-1) and (A, B) the maps.  Exactness is the cleared identity
-    x^(2g-2) A^2 S = X (X + B^2) (X + t B^2) over Q[t], checked on the A, B
-    and S the cover is built from with x^(2g-2) cancelled, which is exact
-    as Q[t][x] has no zero divisors: A^2 S = x (X + B^2) (X + t B^2), whose
-    parts are shifts.  Proof: with q = x (x+1) (x+t), the cover identity
-    f2^2 S = q(f1) times B^6 != 0 is that identity.
+    The candidate curve S takes the solved coefficients and the map keeps
+    its unperturbed (t = 0) value, so the cover is :func:`family_from` of B,
+    A and S, with (A, B) the maps and X = x^(2g-1).  It is exact when its
+    certificate has the product identity A^2 (x+1) = X + B^2 and the source
+    shape S = x (x+1) (X + t B^2), by part (i) of that function's lemma.
+
+    Those two are the cleared cover identity A^2 S = x (X + B^2) (X + t B^2)
+    over Q[t], by parts: the t^0 part of every perturbed source is
+    x^(2g) (x+1), so its t^0 part is the product identity times x^(2g), and
+    given that, its t^1 part A^2 S_1 = x (x+1) A^2 B^2 is S_1 = x (x+1) B^2,
+    as A != 0 (X has odd degree, so X + B^2 != 0).
     """
     a_poly, b_poly = maps
-    source = _perturbed_source(g, solution)
-    b_sq = b_poly * b_poly
-    big_x_plus_b_sq = Poly.monomial(1, 2 * g - 1) + b_sq
-    if (a_poly * a_poly * source
-            != TPoly([big_x_plus_b_sq.shift(2 * g),
-                      (big_x_plus_b_sq * b_sq).shift(1)])):
+    inst = family_from(g, b_poly, a_poly, _perturbed_source(g, solution))
+    if not (inst.certificate.product_identity
+            and inst.certificate.source_shape):
         raise FirstOrderOnly(
             f"first-order deformation did not globalize at genus {g}"
         )
-    return family_from(g, b_poly, a_poly, source)
+    return inst
 
 
 def deformation_report(g: int) -> DeformationReport:

@@ -17,6 +17,9 @@ Chebyshev polynomial of the second kind (Lidl, Mullen and Turnwald,
 *Dickson Polynomials*, 1993, ch. 2; Mason and Handscomb, *Chebyshev
 Polynomials*, 2003, ch. 2).  The rediscovery pipeline in ``degeneration``
 derives the same pair by Horner composition, independently.
+
+:func:`family_from` checks the hypotheses of the lemma the family rests on,
+once, and returns their outcome as the instance's ``certificate``.
 """
 
 from __future__ import annotations
@@ -70,35 +73,26 @@ def _check_genus(g: int):
         raise InvalidGenus(f"genus must be an integer >= 1, got {g!r}")
 
 
-class FamilyInstance(namedtuple("FamilyInstance", "genus j k cover")):
-    """The genus-g family: its companion polynomials j and k and the cover
-    built from them."""
+class FamilyInstance(namedtuple(
+        "FamilyInstance", "genus j k cover certificate")):
+    """A cover built by :func:`family_from`: j, k, the cover and the
+    :class:`CompanionCertificate` of its lemma's hypotheses."""
 
     __slots__ = ()
 
 
 class CompanionCertificate(namedtuple(
-        "CompanionCertificate", "ok product_identity derivative_identity")):
-    """Outcome of the two polynomial identities underpinning the cover:
-    ``product_identity`` is (x+1) k^2 = j^2 + x^(2g-1) and
-    ``derivative_identity`` is (2g-1) j - 2x j' = (2g-1) k."""
+        "CompanionCertificate",
+        "ok product_identity derivative_identity source_shape")):
+    """Outcome of the hypotheses of :func:`family_from`'s lemma:
+    ``product_identity`` is (x+1) k^2 = j^2 + x^(2g-1),
+    ``derivative_identity`` is (2g-1) j - 2x j' = (2g-1) k, and
+    ``source_shape`` says that the source is x (x+1) (x^(2g-1) + t j^2)."""
 
     __slots__ = ()
 
     def __bool__(self):
         return self.ok
-
-
-def companion_identities(inst: FamilyInstance) -> CompanionCertificate:
-    """Check both identities on the instance's own j and k."""
-    n, j, k = 2 * inst.genus - 1, inst.j, inst.k
-    prod_ok = Poly([1, 1]) * k * k == j * j + Poly.monomial(1, n)
-    deriv_ok = n * j - 2 * j.derivative().shift(1) == n * k
-    return CompanionCertificate(
-        ok=prod_ok and deriv_ok,
-        product_identity=prod_ok,
-        derivative_identity=deriv_ok,
-    )
 
 
 def legendre_curve() -> HyperellipticCurve:
@@ -107,61 +101,65 @@ def legendre_curve() -> HyperellipticCurve:
     return HyperellipticCurve(TPoly([x_x1.shift(1), x_x1]))
 
 
-def _source_rhs(g: int, j: Poly) -> TPoly:
-    """x (x+1) (x^(2g-1) + t j^2) over Q[t], expanded."""
-    x_plus_1 = Poly([1, 1])
-    return TPoly([x_plus_1.shift(2 * g), (x_plus_1 * j * j).shift(1)])
-
-
-def _family_polys(g: int):
-    """(j, k, source right-hand side) of the genus-g family, each built
-    once and the source from that j."""
-    j = j_poly(g)
-    return j, k_poly(g), _source_rhs(g, j)
+def _source_rhs(g: int, j_sq: Poly) -> TPoly:
+    """x (x+1) (x^(2g-1) + t j^2) over Q[t], expanded from j^2 by shifts."""
+    return TPoly([Poly([1, 1]).shift(2 * g), j_sq.shift(1) + j_sq.shift(2)])
 
 
 def family_from(g: int, j: Poly, k: Poly, source_rhs) -> FamilyInstance:
     """The degree-(2g-1) cover of the Legendre curve by y^2 = source_rhs with
-    map (x, y) -> (x^(2g-1)/j^2, x^(g-1) k / j^3 * y), not certified.
+    map (x, y) -> (x^(2g-1)/j^2, x^(g-1) k / j^3 * y), and the certificate
+    of the lemma's hypotheses, each checked once on j^2 and k^2 formed once.
 
-    Lemma.  Let X = x^(2g-1).  If j(0) != 0 and (x+1) k^2 = j^2 + X, then
-    X/j^2 and x^(g-1) k/j^3 are in lowest terms.  A common root of j and k
-    is a root of X = (x+1) k^2 - j^2, so it is 0, which j(0) != 0 rules
-    out; and the only root of X and of x^(g-1) is 0.  So j is coprime to X,
-    to x^(g-1) and to k.  Both hypotheses are checked here, at the cost of
-    one product, k^2; when either fails the fractions are reduced by a gcd.
+    Lemma.  Let X = x^(2g-1) and suppose (x+1) k^2 = j^2 + X.
+    (i) If the source is x (x+1) (X + t j^2), the cover identity holds:
+    cleared of j^6 it reads x^(2g-2) k^2 source = X (X + j^2) (X + t j^2).
+    (ii) If also j(0) != 0, X/j^2 and x^(g-1) k/j^3 are in lowest terms.  A
+    common root of j and k is a root of X = (x+1) k^2 - j^2, so it is 0,
+    which j(0) != 0 rules out; and the only root of X and of x^(g-1) is 0.
+    So j is coprime to X, to x^(g-1) and to k; if (ii)'s hypotheses fail,
+    the fractions are reduced by a gcd.
+
+    The certificate also holds the derivative identity, by which the
+    pullback of dx/y is (2g-1) x^(g-1) dx/y; it is ``ok`` when all hold.
     """
-    big_x = Poly.monomial(1, 2 * g - 1)
+    n = 2 * g - 1
+    big_x = Poly.monomial(1, n)
     j_sq, k_sq = j * j, k * k
-    lowest = j.coefficient(0) and k_sq + k_sq.shift(1) == j_sq + big_x
-    fraction = RatFunc.coprime if lowest else RatFunc
+    product = k_sq + k_sq.shift(1) == j_sq + big_x
+    derivative = n * j - 2 * j.derivative().shift(1) == n * k
+    shape = source_rhs == _source_rhs(g, j_sq)
+    fraction = RatFunc.coprime if product and j.coefficient(0) else RatFunc
     cover = Cover(
         source=HyperellipticCurve(source_rhs),
         target=legendre_curve(),
         map=CoverMap(f1=fraction(big_x, j_sq),
                      f2=fraction(k.shift(g - 1), j_sq * j)),
-        degree=2 * g - 1,
+        degree=n,
     )
-    return FamilyInstance(genus=g, j=j, k=k, cover=cover)
+    certificate = CompanionCertificate(product and derivative and shape,
+                                       product, derivative, shape)
+    return FamilyInstance(g, j, k, cover, certificate)
 
 
 def family_instance(g: int) -> FamilyInstance:
-    """The genus-g family cover, constructed but not certified."""
-    return family_from(g, *_family_polys(g))
+    """The genus-g family cover, with the certificate ``family_from`` gives."""
+    j = j_poly(g)
+    return family_from(g, j, k_poly(g), _source_rhs(g, j * j))
 
 
 def is_family_instance(inst: FamilyInstance, g: int) -> bool:
     """Whether an instance built by :func:`family_from` is the genus-g family,
     decided without building the family's map.
 
-    :func:`family_instance` is ``family_from`` applied to g and
-    ``_family_polys(g)``, and every field of a ``family_from`` instance is a
-    function of its four arguments, which it stores as the genus, j, k and
-    the source.  So for such an instance this is equivalent to
-    ``inst == family_instance(g)``.
+    Every field of a ``family_from`` instance is a function of its four
+    arguments, stored as the genus, j, k and the source, and its
+    certificate's ``source_shape`` says whether the source is the one
+    :func:`family_instance` builds from j.  So for such an instance this is
+    equivalent to ``inst == family_instance(g)``.
     """
-    return (inst.genus == g
-            and (inst.j, inst.k, inst.cover.source.rhs) == _family_polys(g))
+    return (inst.genus == g and inst.j == j_poly(g) and inst.k == k_poly(g)
+            and inst.certificate.source_shape)
 
 
 def build_family(g: int) -> FamilyInstance:

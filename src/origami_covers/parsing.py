@@ -2,7 +2,8 @@
 
 Grammar: integer and rational literals, the variable ``x``, the parameter
 ``t``, the operators ``+ - * / ^`` and parentheses, with ``^`` restricted to
-nonnegative integer literal exponents.
+nonnegative integer literal exponents.  Literals are ASCII digits, the only
+ones the printer writes; any other digit is an unexpected character.
 
 Input size is capped before any arithmetic runs: an exponent literal may not
 pass :data:`MAX_PARSE_DEGREE`, and neither may the degree of any product,
@@ -59,7 +60,7 @@ MAX_COEFF_BITS = 4096
 # stack depth.
 MAX_NESTING = 100
 
-_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z]+|[-+*/^()])|(\S))")
+_TOKEN_RE = re.compile(r"\s*(?:([0-9]+)|([A-Za-z]+|[-+*/^()])|(\S))")
 # d digits stay below 10^d < 2^(10d/3), so a literal of at most this many
 # digits is within MAX_COEFF_BITS; checked before int() runs.
 _MAX_DIGITS = 3 * MAX_COEFF_BITS // 10
@@ -366,10 +367,6 @@ def parse_ratfunc(text: str) -> RatFunc:
 # -- printing --------------------------------------------------------------
 
 
-def _format_scalar(c: Fraction) -> str:
-    return str(c)
-
-
 def _power_text(symbol: str, e: int) -> str:
     return "" if e == 0 else (symbol if e == 1 else f"{symbol}^{e}")
 
@@ -378,7 +375,7 @@ def _term(c: Fraction, *powers) -> tuple:
     """(sign, body) of the term c times the nonempty ``powers`` texts."""
     factors = [f for f in powers if f]
     if abs(c) != 1 or not factors:
-        factors.insert(0, _format_scalar(abs(c)))
+        factors.insert(0, str(abs(c)))
     return "-" if c < 0 else "+", "*".join(factors)
 
 
@@ -425,10 +422,6 @@ def format_ratfunc(r: RatFunc) -> str:
     if r.is_poly() and r.den == 1:
         return format_poly(r.num)
     num = format_poly(r.num)
-    if _poly_term_count(r.num) > 1 or num.startswith("-"):
+    if sum(1 for c in r.num.ints if c) > 1 or num.startswith("-"):
         num = f"({num})"
     return f"{num}/({format_poly(r.den)})"
-
-
-def _poly_term_count(p: Poly) -> int:
-    return sum(1 for c in p.coeffs if c)

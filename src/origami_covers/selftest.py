@@ -225,8 +225,7 @@ def check_two_branch_map():
 
 def check_companion_oracle(families, max_genus: int):
     for g in range(1, max_genus + 1):
-        cert = family.companion_identities(families[g])
-        if not cert:
+        if not families[g].certificate:
             return _result("companion_identities", False,
                            f"identity failed at g={g}")
         oracle_j, oracle_k = _oracle_companions(g)
@@ -240,10 +239,11 @@ def check_companion_oracle(families, max_genus: int):
 def run_selftest(max_genus: int = 12):
     """Run every check; returns the list of :class:`CheckResult`.
 
-    Each family is built once per run, uncertified, for
-    g = 1..max(max_genus, 3) (the reference curves need g = 3), and the
-    checks that need a family read it from that table; its cover identity is
-    certified once, by :func:`check_family_identity`.
+    Each family is built once per run, for g = 1..max(max_genus, 3) (the
+    reference curves need g = 3), and the checks that need a family read it
+    from that table; its cover identity is checked once by expansion, by
+    :func:`check_family_identity`, and the certificate ``family_from`` gave
+    it is read by :func:`check_companion_oracle`.
 
     ``max_genus`` must be at least 2: below that the checks that start at
     g = 2 would pass over empty ranges.

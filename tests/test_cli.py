@@ -295,6 +295,20 @@ class TestVerify:
         assert err == ("error: field 'source_rhs': expression nests deeper"
                        f" than the limit {MAX_NESTING}\n")
 
+    @pytest.mark.parametrize("text", ["\uff13*x^5", "x^\u0665"],
+                             ids=["full-width", "arabic-indic"])
+    def test_non_ascii_digit_exits_two(self, capsys, tmp_path, text):
+        # Read as 3*x^5 or x^5 these would parse; they are refused instead.
+        _, out, _ = run(capsys, "generate", "--genus", "2")
+        doc = dict(json.loads(out)["cover"], source_rhs=text)
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: field 'source_rhs': unexpected"
+                              " character")
+
     def test_missing_file_exits_two(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.json"))
         assert code == 2

@@ -3,7 +3,7 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from origami_covers import curves, degeneration, family, poly, ratfunc
@@ -17,7 +17,6 @@ from origami_covers.curves import (
 from origami_covers.errors import InvalidGenus
 from origami_covers.family import (
     build_family,
-    companion_identities,
     family_from,
     family_instance,
     is_family_instance,
@@ -60,23 +59,51 @@ class TestCompanionPolynomials:
 
     @given(g=genera)
     def test_identities(self, g):
-        cert = companion_identities(family_instance(g))
+        cert = family_instance(g).certificate
         assert cert.ok
-        assert cert.product_identity and cert.derivative_identity
+        assert (cert.product_identity and cert.derivative_identity
+                and cert.source_shape)
 
     @pytest.mark.parametrize("g", [1, 2, 3, 6])
-    @pytest.mark.parametrize("change", [
-        lambda j, k: (j, k + Poly.monomial(1, k.degree())),
-        lambda j, k: (2 * j, k),
-    ], ids=["k-one-coefficient", "j-doubled"])
-    def test_wrong_instance_declined(self, g, change):
-        # The certificate covers the instance's own j and k, so a cover
-        # built from wrong ones fails it.
+    @pytest.mark.parametrize("change, failed", [
+        (lambda j, k, s: (j, k + Poly.monomial(1, k.degree()), s),
+         {"product_identity", "derivative_identity"}),
+        # The source is built from the family's j, not from 2j.
+        (lambda j, k, s: (2 * j, k, s),
+         {"product_identity", "derivative_identity", "source_shape"}),
+        (lambda j, k, s: (j, k, TPoly([s.parts[0], 2 * s.parts[1]])),
+         {"source_shape"}),
+    ], ids=["k-one-coefficient", "j-doubled", "source-2t"])
+    def test_wrong_instance_declined(self, g, change, failed):
+        # The certificate covers the instance's own j, k and source, so a
+        # cover built from wrong ones fails it, and names what failed.
         inst = family_instance(g)
-        j, k = change(inst.j, inst.k)
-        cert = companion_identities(family_from(g, j, k, inst.cover.source.rhs))
+        cert = family_from(
+            g, *change(inst.j, inst.k, inst.cover.source.rhs)).certificate
         assert not cert
-        assert not cert.product_identity and not cert.derivative_identity
+        assert {name for name in cert._fields[1:]
+                if not getattr(cert, name)} == failed
+
+    @settings(max_examples=60, deadline=None)
+    @given(g=st.integers(min_value=1, max_value=8),
+           which=st.sampled_from(["j", "k", "t0", "t1"]),
+           place=st.integers(min_value=0, max_value=20),
+           delta=st.integers(min_value=-3, max_value=3).filter(bool))
+    def test_certificate_decides_cover_identity(self, g, which, place, delta):
+        """Against the expanded identity: with one coefficient of j, of k
+        or of a source part moved, the certificate's product identity and
+        source shape hold exactly when the cover identity does."""
+        inst = family_instance(g)
+        t0, t1 = inst.cover.source.rhs.parts
+        parts = {"j": inst.j, "k": inst.k, "t0": t0, "t1": t1}
+        old = parts[which]
+        parts[which] = old + Poly.monomial(delta, place % (old.degree() + 2))
+        assume(parts["j"] and parts["k"])
+        moved = family_from(g, parts["j"], parts["k"],
+                            TPoly([parts["t0"], parts["t1"]]))
+        cert = moved.certificate
+        assert ((cert.product_identity and cert.source_shape)
+                == bool(verify_cover_identity(moved.cover)))
 
 
 def binomial_companions(g):

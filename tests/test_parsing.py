@@ -261,6 +261,10 @@ class TestTokenizerErrors:
         ("x + 1" + "9" * 2000 + " ?", "integer literal exceeds the limit "
          f"{MAX_COEFF_BITS} bits"),
         ("? + " + "9" * 2000, "unexpected character '?' at position 0"),
+        # Literals are ASCII digits: other Unicode digits are not read.
+        ("\uff13*x", "unexpected character '\uff13' at position 0"),
+        ("x^\u0663", "unexpected character '\u0663' at position 2"),
+        ("1\u0660", "unexpected character '\u0660' at position 1"),
     ])
     def test_message(self, text, message):
         with pytest.raises(ParseError) as error:

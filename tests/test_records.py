@@ -34,11 +34,11 @@ RECORDS = [
      ("branch_point_x", "ramification_index", "pullback_coefficient",
       "vanishing_order_at_origin", "riemann_hurwitz_balanced"),
      lambda: curves.ramification_report(_cover())),
-    (family.FamilyInstance, ("genus", "j", "k", "cover"),
+    (family.FamilyInstance, ("genus", "j", "k", "cover", "certificate"),
      lambda: family.build_family(2)),
     (family.CompanionCertificate,
-     ("ok", "product_identity", "derivative_identity"),
-     lambda: family.companion_identities(family.family_instance(2))),
+     ("ok", "product_identity", "derivative_identity", "source_shape"),
+     lambda: family.family_instance(2).certificate),
     (math_oracle.ParametrizedCurve, ("x_of_u", "y_of_u"),
      math_oracle.normalize_nodal_cubic),
     (degeneration.DeformationAnsatz,
@@ -82,7 +82,8 @@ class TestRecord:
 def test_certificate_truth_is_ok(ok):
     assert bool(curves.CoverCertificate(ok=ok, witness="x")) is ok
     assert bool(family.CompanionCertificate(
-        ok=ok, product_identity=True, derivative_identity=True)) is ok
+        ok=ok, product_identity=True, derivative_identity=True,
+        source_shape=True)) is ok
 
 
 def test_replace_validates():
