@@ -57,20 +57,33 @@ def two_branch_map(n: int) -> RatFunc:
     return RatFunc.coprime(odd, even)
 
 
+def _at_x_plus_1(coeffs) -> list:
+    """The integer coefficients of sum c_i (x+1)^i, for integers c_i.
+
+    Each power of x+1 is a Pascal row, made from the one before by one list
+    addition, and c_i times it is added into the lowest i+1 slots.
+    """
+    acc, row = [0] * len(coeffs), [1]
+    for i, c in enumerate(coeffs):
+        acc[:i + 1] = [a + c * r for a, r in zip(acc, row)]
+        row = [a + b for a, b in zip(row + [0], [0] + row)]
+    return acc
+
+
 def _map_polys(g: int):
     """Even/odd split of the two-branch map, pushed down to the x-line.
 
     On the degenerate source, z = y/x^g satisfies z^2 = x + 1, so the
     odd numerator z*N1(z^2) and even denominator D1(z^2) of the two-branch
-    map become A(x) = N1(x+1) and B(x) = D1(x+1).
+    map become A(x) = N1(x+1) and B(x) = D1(x+1), substituted by Pascal
+    rows of integers.
     """
     tbm = two_branch_map(2 * g - 1)
     num, den = tbm.num, tbm.den
     if any(num.ints[0::2]) or any(den.ints[1::2]):
         raise PipelineError("two-branch map lost its odd/even symmetry")
-    x_plus_1 = Poly([1, 1])
-    return ((num.content * Poly(num.ints[1::2])).compose(x_plus_1),
-            (den.content * Poly(den.ints[0::2])).compose(x_plus_1))
+    return (num.content * Poly(_at_x_plus_1(num.ints[1::2])),
+            den.content * Poly(_at_x_plus_1(den.ints[0::2])))
 
 
 # -- first-order deformation ----------------------------------------------
@@ -140,26 +153,25 @@ def assemble_deformation_system(g: int, maps) -> DeformationSystem:
     D = B + t sum e_d x^d, where (A, B) are the ``maps`` from
     :func:`_map_polys`.  Its t^1 coefficient is affine in the unknowns, so
     the system is written down in closed form, by shifts and no product by
-    a power of x: the column of a_i is x^(2g-2) A^2 shifted by 2g+1-i,
-    those of e_d and n_d are -2 X^2 B = x^(4g-2) (-2B) and 2 x^(2g-2) A S0
-    = x^(4g-2) 2A (x+1) shifted by d, and the right-hand side is
-    X (X + B^2) B^2.
+    a power of x or by x+1: the column of a_i is x^(2g-2) A^2 shifted by
+    2g+1-i, those of e_d and n_d are -2 X^2 B = x^(4g-2) (-2B) and
+    2 x^(2g-2) A S0 = x^(4g-2) 2 (A + x A) shifted by d, and the right-hand
+    side is X (X + B^2) B^2.
 
     Its t^0 coefficient is checked with x^(4g-2) cancelled, which is exact
     as Q[x] has no zero divisors: A^2 (x+1) = X + B^2, the companion
     product identity (x+1) k^2 = j^2 + X with k = A and j = B.
     """
     a, b = maps
-    x_plus_1 = Poly([1, 1])
     a_sq, b_sq = a * a, b * b
     big_x_plus_b_sq = Poly.monomial(1, 2 * g - 1) + b_sq
-    if a_sq * x_plus_1 != big_x_plus_b_sq:
+    if a_sq + a_sq.shift(1) != big_x_plus_b_sq:
         raise PipelineError(
             f"degenerate cover identity broke at order t^0 at genus {g}"
         )
     lead_a_sq = a_sq.shift(2 * g - 2)
     den_base = (-2 * b).shift(4 * g - 2)
-    num_base = (2 * a * x_plus_1).shift(4 * g - 2)
+    num_base = (2 * (a + a.shift(1))).shift(4 * g - 2)
     rhs = (big_x_plus_b_sq * b_sq).shift(2 * g - 1)
     # a_1..a_2g, e_(g-1)..e_0, n_(g-2)..n_0.
     columns = tuple([(lead_a_sq, s) for s in range(2 * g, 0, -1)]

@@ -16,7 +16,8 @@ Dickson polynomials D_n(2, -x) / 2 and E_(n-1)(2, -x), the second a scaled
 Chebyshev polynomial of the second kind (Lidl, Mullen and Turnwald,
 *Dickson Polynomials*, 1993, ch. 2; Mason and Handscomb, *Chebyshev
 Polynomials*, 2003, ch. 2).  The rediscovery pipeline in ``degeneration``
-derives the same pair by Horner composition, independently.
+derives the same pair independently, from the binomial expansion of the
+two-branch map with u^2 = x+1 substituted by Pascal rows.
 
 :func:`family_from` checks the hypotheses of the lemma the family rests on,
 once, and returns their outcome as the instance's ``certificate``.

@@ -7,6 +7,7 @@ right = (2 3) and up = (1 2) must come out as the 3-cycle (1 3 2).
 
 from __future__ import annotations
 
+import operator
 from collections import namedtuple
 
 from .errors import InvalidGenus, NotConnected
@@ -18,7 +19,7 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(i) for i in images)
+        images = tuple(map(operator.index, images))
         if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError(f"not a bijection on 1..{len(images)}: {images}")
         object.__setattr__(self, "images", images)
@@ -30,7 +31,7 @@ class Permutation:
     def from_cycles(cls, n: int, cycles) -> "Permutation":
         images = list(range(1, n + 1))
         for cycle in cycles:
-            cycle = tuple(cycle)
+            cycle = tuple(map(operator.index, cycle))
             if len(cycle) < 2:
                 continue
             for a, b in zip(cycle, cycle[1:] + (cycle[0],)):
@@ -107,6 +108,7 @@ class OrigamiDiagram(namedtuple("OrigamiDiagram", "n right up")):
     __slots__ = ()
 
     def __new__(cls, n: int, right: Permutation, up: Permutation):
+        n = operator.index(n)
         if n < 1:
             raise ValueError("need at least one square")
         if right.n != n or up.n != n:

@@ -34,36 +34,6 @@ def _result(name, ok, detail=""):
     return CheckResult(name=name, ok=bool(ok), detail=detail)
 
 
-# -- independent oracle for the companion polynomials ----------------------
-
-
-def _pascal_step(row, sign=1):
-    """The integer coefficients of (1 + sign*u) times ``row``."""
-    return [a + sign * b for a, b in zip(row + [0], [0] + row)]
-
-
-def _oracle_companions(g: int):
-    """Expand ((1+u)^(2g-1) +- (1-u)^(2g-1)) / 2 and substitute u^2 -> x+1.
-
-    Builds every power by Pascal-row additions on raw integer coefficient
-    lists, so it shares no code path with the construction it cross-checks.
-    """
-    plus, minus = [1], [1]
-    for _ in range(2 * g - 1):
-        plus, minus = _pascal_step(plus), _pascal_step(minus, -1)
-    even = [(p + m) // 2 for p, m in zip(plus, minus)][0::2]
-    odd = [(p - m) // 2 for p, m in zip(plus, minus)][1::2]
-
-    def substitute(half_coeffs):
-        acc, power = [0] * len(half_coeffs), [1]  # power = (x+1)^k
-        for k, c in enumerate(half_coeffs):
-            acc[:k + 1] = [a + c * v for a, v in zip(acc, power)]
-            power = _pascal_step(power)
-        return Poly(acc)
-
-    return substitute(even), substitute(odd)
-
-
 # -- the individual criteria ----------------------------------------------
 
 
@@ -224,11 +194,15 @@ def check_two_branch_map():
 
 
 def check_companion_oracle(families, max_genus: int):
+    """Each family's certificate holds, and its j and k, built from their
+    closed forms, are the (B, A) that the rediscovery pipeline pushes down
+    from the two-branch map's binomial expansion by Pascal rows, a
+    derivation independent of those closed forms."""
     for g in range(1, max_genus + 1):
         if not families[g].certificate:
             return _result("companion_identities", False,
                            f"identity failed at g={g}")
-        oracle_j, oracle_k = _oracle_companions(g)
+        oracle_k, oracle_j = degeneration._map_polys(g)
         if families[g].j != oracle_j or families[g].k != oracle_k:
             return _result("companion_identities", False,
                            f"oracle mismatch at g={g}")
@@ -243,7 +217,8 @@ def run_selftest(max_genus: int = 12):
     reference curves need g = 3), and the checks that need a family read it
     from that table; its cover identity is checked once by expansion, by
     :func:`check_family_identity`, and the certificate ``family_from`` gave
-    it is read by :func:`check_companion_oracle`.
+    it is read by :func:`check_companion_oracle`, which also compares each
+    family's j and k with the maps ``degeneration._map_polys`` derives.
 
     ``max_genus`` must be at least 2: below that the checks that start at
     g = 2 would pass over empty ranges.

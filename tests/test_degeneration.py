@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 from conftest import rationals
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import math_oracle
@@ -19,6 +19,7 @@ from math_oracle import (
 from origami_covers import degeneration
 from origami_covers.curves import Cover, CoverMap, verify_cover_identity
 from origami_covers.degeneration import (
+    _at_x_plus_1,
     _map_polys,
     _perturbed_source,
     assemble_deformation_system,
@@ -127,6 +128,18 @@ class TestTwoBranchMap:
         result = check_two_branch_map()
         assert not result.ok
         assert result.detail == f"n=5 {witness}"
+
+
+class TestPushDown:
+    @given(st.lists(st.integers(min_value=-10**30, max_value=10**30),
+                    max_size=40))
+    @example([])
+    @example([7])
+    @example([-3, 0, 2, 0])
+    def test_pascal_rows_match_horner(self, cs):
+        # Every slot, trailing zeros included, against Horner composition.
+        horner = list(Poly(cs).compose(Poly([1, 1])).coeffs)
+        assert _at_x_plus_1(cs) == horner + [0] * (len(cs) - len(horner))
 
 
 class TestDegenerateCover:

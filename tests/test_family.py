@@ -14,6 +14,7 @@ from origami_covers.curves import (
     specialize_t,
     verify_cover_identity,
 )
+from origami_covers.degeneration import _map_polys
 from origami_covers.errors import InvalidGenus
 from origami_covers.family import (
     build_family,
@@ -27,7 +28,6 @@ from origami_covers.family import (
 from origami_covers.parsing import format_poly, parse_poly
 from origami_covers.poly import Poly, TPoly
 from origami_covers.ratfunc import RatFunc
-from origami_covers.selftest import _oracle_companions
 
 x = Poly.variable()
 
@@ -134,7 +134,10 @@ class TestClosedForms:
         for g in range(1, 129):
             closed = j_poly(g), k_poly(g)
             assert closed == binomial_companions(g), g
-            assert closed == _oracle_companions(g), g
+            assert closed == _map_polys(g)[::-1], g
+
+    def test_push_down_at_genus_256(self):
+        assert _map_polys(256) == (k_poly(256), j_poly(256))
 
     @settings(max_examples=20)
     @given(g=st.integers(min_value=1, max_value=256))
@@ -143,9 +146,10 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("argv, gcds, composes", [
         (["generate", "--genus", "12"], 0, 0),
-        # certify_nullity's gcd, and _map_polys's two compositions: the
-        # rediscovery route stays independent of the closed forms.
-        (["degenerate", "--genus", "8"], 1, 2),
+        # certify_nullity's gcd, and no composition: the rediscovery route
+        # is _map_polys's Pascal-row push-down, independent of the closed
+        # forms.
+        (["degenerate", "--genus", "8"], 1, 0),
     ], ids=["generate", "degenerate"])
     def test_command_counts(self, monkeypatch, capsys, argv, gcds, composes):
         calls = Counter()

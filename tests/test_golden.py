@@ -24,8 +24,9 @@ COMMANDS = (
        for g in (1, 2, 3, 5, 8, 12)]
     + [["degenerate", "--genus", str(g)] for g in (2, 3, 5, 8, 16, 32, 64)]
     + [["degenerate", "--genus", "128", "--max-genus", "128"]]
+    + [["degenerate", "--genus", "256", "--max-genus", "256"]]
     + [["origami", "--genus", str(g)] for g in (1, 3, 7)]
-    + [["selftest", "--max-genus", str(g)] for g in (4, 8)]
+    + [["selftest", "--max-genus", str(g)] for g in (4, 8, 12)]
 )
 
 

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -32,6 +34,17 @@ class TestPermutation:
     def test_rejects_non_bijection(self):
         with pytest.raises(ValueError):
             Permutation([1, 1, 3])
+
+    @pytest.mark.parametrize("images", [
+        [2.7, 1], ["3", "1", "2"], [Fraction(2), Fraction(1)]])
+    def test_rejects_non_integer_images(self, images):
+        with pytest.raises(TypeError):
+            Permutation(images)
+
+    def test_from_cycles_rejects_non_integer_entry(self):
+        # Even in a 1-cycle, which moves nothing.
+        with pytest.raises(TypeError):
+            Permutation.from_cycles(3, [(2.5,)])
 
     def test_composition_left_to_right(self):
         p = Permutation.from_cycles(3, [(1, 2)])
@@ -117,6 +130,11 @@ class TestInvariance:
 
 
 class TestGenus:
+    def test_non_integer_square_count_raises(self):
+        p = Permutation.from_cycles(3, [(2, 3)])
+        with pytest.raises(TypeError):
+            OrigamiDiagram(3.0, p, p)
+
     def test_disconnected_raises(self):
         d = OrigamiDiagram(
             n=2, right=Permutation(range(1, 3)), up=Permutation(range(1, 3))
