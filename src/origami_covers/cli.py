@@ -14,10 +14,12 @@ import sys
 
 from . import __version__, family
 from .curves import (
+    CoverCertificate,
     cover_from_json,
     cover_to_dict,
     pullback_invariant_differential,
     ramification_report,
+    riemann_hurwitz_balanced,
     verify_cover_identity,
 )
 from .errors import OrigamiCoversError, UnsupportedShape
@@ -110,7 +112,12 @@ def cmd_generate(args, parser) -> int:
 
 
 def _verify_checks(cover) -> list:
-    identity = verify_cover_identity(cover)
+    # A cover of the family's shape is proven by the family's lemma, with
+    # the verdicts and witnesses the expansion gives it; any other cover is
+    # expanded, so a failing one keeps its witness.
+    certificate = family.recognise(cover)
+    identity = (CoverCertificate(ok=True, witness="") if certificate
+                else verify_cover_identity(cover))
     f1 = cover.map.f1
     map_degree = max(f1.num.degree(), f1.den.degree())
     checks = [
@@ -118,7 +125,14 @@ def _verify_checks(cover) -> list:
         _check("degree", cover.degree == map_degree,
                f"declared {cover.degree}, f1 has degree {map_degree}"),
     ]
-    if identity.ok:
+    if certificate:
+        # The pullback is N x^(g-1) and the index ord_0 f1 = N = deg f1.
+        index = f1.num.degree()
+        checks.append(_check(
+            "riemann_hurwitz", riemann_hurwitz_balanced(cover, index),
+            f"index {index}",
+        ))
+    elif identity.ok:
         try:
             report = ramification_report(cover)
             checks.append(_check(

@@ -184,19 +184,22 @@ def ramification_report(cover: Cover) -> RamificationReport:
     index = next(e for e, c in enumerate(f1.num.coeffs) if c)
     if index < 1:
         raise UnsupportedShape("first map component does not vanish at the origin")
-    g_source = genus_arithmetic(cover.source)
-    g_target = genus_arithmetic(cover.target)
-    balanced = (
-        2 * g_source - 2
-        == cover.degree * (2 * g_target - 2) + (index - 1)
-    )
     return RamificationReport(
         branch_point_x=Fraction(0),
         ramification_index=index,
         pullback_coefficient=lam,
         vanishing_order_at_origin=2 * m,
-        riemann_hurwitz_balanced=balanced,
+        riemann_hurwitz_balanced=riemann_hurwitz_balanced(cover, index),
     )
+
+
+def riemann_hurwitz_balanced(cover: Cover, index: int) -> bool:
+    """Whether Riemann-Hurwitz balances for the cover's declared degree with
+    a single branch point, of ramification index ``index``."""
+    g_source = genus_arithmetic(cover.source)
+    g_target = genus_arithmetic(cover.target)
+    return (2 * g_source - 2
+            == cover.degree * (2 * g_target - 2) + (index - 1))
 
 
 # -- JSON interchange ------------------------------------------------------

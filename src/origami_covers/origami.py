@@ -29,14 +29,19 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, n: int, cycles) -> "Permutation":
+        """The permutation of 1..n with the given disjoint cycles; every
+        entry, in a 1-cycle too, must lie in 1..n and occur once."""
         images = list(range(1, n + 1))
+        seen = set()
         for cycle in cycles:
             cycle = tuple(map(operator.index, cycle))
-            if len(cycle) < 2:
-                continue
-            for a, b in zip(cycle, cycle[1:] + (cycle[0],)):
+            for a in cycle:
                 if not 1 <= a <= n:
                     raise ValueError(f"cycle entry {a} outside 1..{n}")
+                if a in seen:
+                    raise ValueError(f"cycle entry {a} occurs twice")
+                seen.add(a)
+            for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 images[a - 1] = b
         return cls(images)
 

@@ -162,6 +162,45 @@ class TestVerify:
         assert code == 1
         assert not json.loads(out)["checks"][0]["passed"]
 
+    @pytest.mark.parametrize("field, witness", [
+        ("source_rhs", "coefficient of t^2*x^11 differs"),
+        ("target_rhs", "coefficient of t^2*x^13 differs"),
+    ], ids=["source", "target"])
+    def test_part_on_one_side_only_exits_one(self, capsys, tmp_path, field,
+                                             witness):
+        # A t^2 part that the other side lacks is compared too.  Such a
+        # document is not the family's shape, so it is expanded.
+        _, out, _ = run(capsys, "generate", "--genus", "2")
+        doc = json.loads(out)["cover"]
+        doc[field] += " + t^2*x"
+        assert family.recognise(curves.cover_from_dict(doc)) is None
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        assert json.loads(out)["checks"][0] == {
+            "name": "cover_identity", "passed": False, "witness": witness}
+
+    def test_unbalanced_riemann_hurwitz_exits_one(self, capsys, tmp_path):
+        # The g=2 source times x^2, and f2 divided by x: the identity still
+        # holds, but the source has genus 3, and index 3 gives 2 of the 4
+        # that 2g-2 needs.  Not the family's shape, so ramification_report
+        # decides it.
+        _, out, _ = run(capsys, "generate", "--genus", "2")
+        doc = dict(json.loads(out)["cover"],
+                   source_rhs="x^7 + (1 + 9*t)*x^6 + 33*t*x^5 + 40*t*x^4"
+                              " + 16*t*x^3",
+                   f2="(x + 4)/(27*x^3 + 108*x^2 + 144*x + 64)")
+        assert family.recognise(curves.cover_from_dict(doc)) is None
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["cover_identity"]["passed"]
+        assert checks["riemann_hurwitz"] == {
+            "name": "riemann_hurwitz", "passed": False, "witness": "index 3"}
+
     def test_malformed_file_exits_two(self, capsys, tmp_path):
         path = tmp_path / "cover.json"
         for content in (b"{not json", b"\xff{", b"[" * 100000):

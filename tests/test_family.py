@@ -1,21 +1,24 @@
+import json
 import math
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from origami_covers import curves, degeneration, family, poly, ratfunc
+from origami_covers import cli, curves, degeneration, family, poly, ratfunc
 from origami_covers.cli import main
 from origami_covers.curves import (
+    CoverMap,
+    HyperellipticCurve,
     pullback_invariant_differential,
     ramification_report,
     specialize_t,
     verify_cover_identity,
 )
 from origami_covers.degeneration import _map_polys
-from origami_covers.errors import InvalidGenus
+from origami_covers.errors import InvalidGenus, OrigamiCoversError
 from origami_covers.family import (
     build_family,
     family_from,
@@ -309,3 +312,93 @@ class TestBuiltOnce:
         main(argv)
         capsys.readouterr()
         assert calls == {name: Counter(genera) for name in calls}
+
+
+def document_cover(cover):
+    """The cover as ``verify`` reads it: printed, then parsed."""
+    return curves.cover_from_json(json.dumps(curves.cover_to_dict(cover)))
+
+
+def verify_outcome(cover):
+    """``verify``'s checks on the cover, or the error it exits 2 with."""
+    try:
+        return cli._verify_checks(cover)
+    except (OrigamiCoversError, ValueError) as exc:
+        return repr(exc)
+
+
+class TestRecognise:
+    """``verify`` proves family-shaped documents by the lemma
+    (``family.recognise``) and expands every other one."""
+
+    def test_accepts_every_generated_document(self, monkeypatch):
+        # Without dividing: j is read off k by the derivative identity.  A
+        # division of f2's denominator by this b, whose leading coefficient
+        # has 4000 bits, would run for minutes.
+        n, g = 341, 171
+        b = Poly([3] * n + [2**4000 + 1])
+        hostile = document_cover(family_instance(2).cover)._replace(
+            map=CoverMap(RatFunc(Poly.monomial(1, n), b),
+                         RatFunc(k_poly(g).shift(g - 1),
+                                 Poly([5] * 510 + [1]))))
+
+        def refuse(*args):
+            raise AssertionError("recognise divided a polynomial")
+        monkeypatch.setattr(Poly, "__divmod__", refuse)
+        assert family.recognise(hostile) is None
+        for g in range(1, 65):
+            cert = family.recognise(document_cover(family_instance(g).cover))
+            assert cert and cert.ok, g
+
+    @pytest.mark.parametrize("g", [1, 2, 5, 16])
+    def test_lemma_route_gives_the_expansion_checks(self, monkeypatch, g):
+        cover = document_cover(family_instance(g).cover)
+        for declared in (2 * g - 1, 2 * g + 3):
+            moved = cover._replace(degree=declared)
+            lemma = verify_outcome(moved)
+            with monkeypatch.context() as patch:
+                patch.setattr(family, "recognise", lambda cover: None)
+                assert verify_outcome(moved) == lemma
+
+    # Moves that only the map's own checks catch: a != x^N, f2's numerator
+    # below x^(g-1), and f2's denominator alone.
+    @example(g=2, which="a", place=0, delta=1)
+    @example(g=3, which="n", place=0, delta=1)
+    @example(g=2, which="d", place=0, delta=1)
+    @settings(max_examples=80, deadline=None)
+    @given(g=st.integers(min_value=1, max_value=8),
+           which=st.sampled_from(["j", "k", "t0", "t1", "q0", "q1",
+                                  "a", "b", "n", "d"]),
+           place=st.integers(min_value=0, max_value=20),
+           delta=st.integers(min_value=-3, max_value=3).filter(bool))
+    def test_moved_coefficient_checks_match_expansion(self, g, which, place,
+                                                      delta):
+        """With one coefficient moved, of j, of k, of a source part, of a
+        target part or of f1 = a/b or f2 = n/d as printed, ``verify``'s
+        checks are those of forced expansion."""
+        def move(p):
+            return p + Poly.monomial(delta, place % (p.degree() + 2))
+
+        inst = family_instance(g)
+        t0, t1 = inst.cover.source.rhs.parts
+        q0, q1 = legendre_curve().rhs.parts
+        parts = {"j": inst.j, "k": inst.k, "t0": t0, "t1": t1,
+                 "q0": q0, "q1": q1}
+        if which in parts:
+            parts[which] = move(parts[which])
+        assume(parts["j"] and parts["k"])
+        built = family_from(g, parts["j"], parts["k"],
+                            TPoly([parts["t0"], parts["t1"]])).cover
+        f1, f2 = built.map
+        ends = {"a": f1.num, "b": f1.den, "n": f2.num, "d": f2.den}
+        if which in ends:
+            ends[which] = move(ends[which])
+        assume(ends["b"] and ends["d"])
+        cover = document_cover(built._replace(
+            target=HyperellipticCurve(TPoly([parts["q0"], parts["q1"]])),
+            map=CoverMap(RatFunc(ends["a"], ends["b"]),
+                         RatFunc(ends["n"], ends["d"]))))
+        lemma = verify_outcome(cover)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(family, "recognise", lambda cover: None)
+            assert verify_outcome(cover) == lemma

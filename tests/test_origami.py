@@ -46,6 +46,17 @@ class TestPermutation:
         with pytest.raises(TypeError):
             Permutation.from_cycles(3, [(2.5,)])
 
+    @pytest.mark.parametrize("n, cycles", [
+        (3, [(5,)]),
+        (3, [(0,)]),
+        (4, [(1, 2), (3, 1, 2)]),
+    ], ids=["1-cycle-above", "1-cycle-zero", "repeated-across-cycles"])
+    def test_from_cycles_rejects_bad_entry(self, n, cycles):
+        # Out of range even in a 1-cycle, which moves nothing; and an entry
+        # in two cycles, which used to give [2, 3, 1, 4] silently.
+        with pytest.raises(ValueError):
+            Permutation.from_cycles(n, cycles)
+
     def test_composition_left_to_right(self):
         p = Permutation.from_cycles(3, [(1, 2)])
         q = Permutation.from_cycles(3, [(2, 3)])

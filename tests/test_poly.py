@@ -155,6 +155,42 @@ class TestGcd:
         assert poly_gcd(*several) == c
         assert poly_gcd(x, x + 1) == 1
 
+    @staticmethod
+    def small_fractions(c, m):
+        """Every r/s in lowest terms with r = c s (mod m) and |r|, s at most
+        isqrt(m // 2), by search."""
+        bound = math.isqrt(m // 2)
+        return [Fraction(r, s) for s in range(1, bound + 1)
+                for r in range(-bound, bound + 1)
+                if math.gcd(r, s) == 1 and (r - c * s) % m == 0]
+
+    def test_rational_none_without_small_fraction(self):
+        # The bound is isqrt(50) = 7, and 8 s mod 101 lies in 8..56 for
+        # s = 1..7, so no |r| <= 7 fits.
+        assert self.small_fractions(8, 101) == []
+        assert poly._rational(8, 101) is None
+
+    @given(m=st.integers(min_value=2, max_value=2000),
+           c=st.integers(min_value=0, max_value=1999))
+    def test_rational_contract(self, m, c):
+        c %= m
+        bound = math.isqrt(m // 2)
+        lift = poly._rational(c, m)
+        if lift is None:
+            assert self.small_fractions(c, m) == []
+        else:
+            r, s = lift.numerator, lift.denominator
+            assert (r - c * s) % m == 0
+            assert abs(r) <= bound and s <= bound
+
+    # For m = 2^61 - 1 the bound isqrt(m // 2) is 2^30 - 1.
+    @given(r=st.integers(min_value=1 - 2**30, max_value=2**30 - 1),
+           s=st.integers(min_value=1, max_value=2**30 - 1))
+    def test_rational_recovers_small_fraction(self, r, s):
+        m = poly._prime(0)
+        assert math.isqrt(m // 2) == 2**30 - 1
+        assert poly._rational(r * pow(s, -1, m) % m, m) == Fraction(r, s)
+
     @given(a=nonzero_polys(), b=nonzero_polys())
     def test_gcd_divides_both(self, a, b):
         g = poly_gcd(a, b)
