@@ -178,9 +178,9 @@ def ramification_report(cover: Cover) -> RamificationReport:
     if len(nonzero) != 1:
         raise UnsupportedShape("pullback coefficient is not a monomial")
     m = nonzero[0]
+    # f1 is in lowest terms, so a pole at the origin (den(0) = 0) makes
+    # num(0) != 0: index 0, refused below.
     f1 = cover.map.f1
-    if not f1.den.coefficient(0):
-        raise UnsupportedShape("map denominator vanishes at the origin")
     index = next(e for e, c in enumerate(f1.num.coeffs) if c)
     if index < 1:
         raise UnsupportedShape("first map component does not vanish at the origin")

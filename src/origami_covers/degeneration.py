@@ -22,7 +22,7 @@ from fractions import Fraction
 from .curves import verify_cover_identity  # noqa: F401
 from .errors import FirstOrderOnly, InvalidDegree, InvalidGenus, PipelineError
 from .family import FamilyInstance, family_from
-from .poly import ZERO, Poly, TPoly, poly_gcd
+from .poly import ZERO, Poly, TPoly
 from .ratfunc import RatFunc
 
 
@@ -71,19 +71,15 @@ def _at_x_plus_1(coeffs) -> list:
 
 
 def _map_polys(g: int):
-    """Even/odd split of the two-branch map, pushed down to the x-line.
+    """The two-branch map of degree n = 2g-1, pushed down to the x-line.
 
-    On the degenerate source, z = y/x^g satisfies z^2 = x + 1, so the
-    odd numerator z*N1(z^2) and even denominator D1(z^2) of the two-branch
-    map become A(x) = N1(x+1) and B(x) = D1(x+1), substituted by Pascal
-    rows of integers.
+    On the degenerate source, z = y/x^g satisfies z^2 = x + 1, so the odd
+    numerator and even denominator of :func:`two_branch_map` become z A and
+    B with A = sum C(n, 2i+1) (x+1)^i and B = sum C(n, 2i) (x+1)^i, read
+    from the binomials and substituted by Pascal rows of integers.
     """
-    tbm = two_branch_map(2 * g - 1)
-    num, den = tbm.num, tbm.den
-    if any(num.ints[0::2]) or any(den.ints[1::2]):
-        raise PipelineError("two-branch map lost its odd/even symmetry")
-    return (num.content * Poly(_at_x_plus_1(num.ints[1::2])),
-            den.content * Poly(_at_x_plus_1(den.ints[0::2])))
+    row = [math.comb(2 * g - 1, k) for k in range(2 * g)]
+    return Poly(_at_x_plus_1(row[1::2])), Poly(_at_x_plus_1(row[0::2]))
 
 
 # -- first-order deformation ----------------------------------------------
@@ -183,16 +179,19 @@ def assemble_deformation_system(g: int, maps) -> DeformationSystem:
 def certify_nullity(system: DeformationSystem) -> int:
     """The dimension of the kernel of the order-t system, which is 1.
 
-    Lemma.  Write a vector of unknowns as the polynomials U = sum a_i
-    x^(2g+1-i), V = sum e_d x^d and W = sum n_d x^d, so deg U <= 2g with
-    U(0) = 0, deg V <= g-1 and deg W <= g-2.  By the columns of
-    :func:`assemble_deformation_system`, after dividing by x^(2g-2), it is in
-    the kernel exactly when A^2 U = 2 x^(2g) (B V - A (x+1) W).  Suppose
-    A(0) != 0.  Then x^(2g) divides U, so U = c x^(2g) for a constant c, and
-    2 B V = A (c A + 2 (x+1) W).  Suppose A and B are coprime: then A
-    divides V, and when deg A >= g-1 that makes V = v A for a constant v.
-    Now c A = 2 (v B - (x+1) W); at x = -1 this reads c A(-1) = 2 v B(-1),
-    so when B(-1) != 0 it fixes v = c A(-1) / (2 B(-1)), and then
+    Lemma.  ``system`` must come from :func:`assemble_deformation_system`,
+    whose t^0 check proves (x+1) A^2 = X + B^2 with X = x^(2g-1).  Write a
+    vector of unknowns as the polynomials U = sum a_i x^(2g+1-i),
+    V = sum e_d x^d and W = sum n_d x^d, so deg U <= 2g with U(0) = 0,
+    deg V <= g-1 and deg W <= g-2.  By the columns, after dividing by
+    x^(2g-2), it is in the kernel exactly when
+    A^2 U = 2 x^(2g) (B V - A (x+1) W).  Suppose A(0) != 0.  Then x^(2g)
+    divides U, so U = c x^(2g) for a constant c, and
+    2 B V = A (c A + 2 (x+1) W).  A common root of A and B would be a root
+    of X, hence 0, so they are coprime with no gcd taken, and A divides V.
+    When deg A >= g-1 that makes V = v A for a constant v.  Now
+    c A = 2 (v B - (x+1) W); at x = -1 this reads c A(-1) = 2 v B(-1), so
+    when B(-1) != 0 it fixes v = c A(-1) / (2 B(-1)), and then
     W = (v B - c A/2) / (x+1).  So c determines the vector, and the kernel
     has dimension at most 1.  The vector with c = 1 is nonzero; checking it
     against the three column bases by exact multiplication shows the
@@ -210,8 +209,6 @@ def certify_nullity(system: DeformationSystem) -> int:
 
     if not a(0):
         decline("A(0) = 0")
-    if poly_gcd(a, b).degree() != 0:
-        decline("A and B share a factor")
     if a.degree() < g - 1:
         decline(f"deg A < {g - 1}")
     b_at_minus_1 = b(-1)
@@ -256,7 +253,8 @@ def solve_exact(system: DeformationSystem) -> DeformationSolution:
     so they span a subspace of the polynomials supported there, which has
     dimension top - low + 1.  When the rank cols - nullity equals that, the
     span is the whole space, and the system is consistent exactly when rhs
-    is supported there too.
+    is supported there too.  Each of the three bases comes with decreasing
+    shifts, so low is read from the last column of each block.
 
     The solution.  With every e_d and n_d at zero the system is the single
     identity x^(2g-2) A^2 P = X (X + B^2) B^2 in P = sum a_i x^(2g+1-i), so
@@ -268,7 +266,8 @@ def solve_exact(system: DeformationSystem) -> DeformationSolution:
     """
     g, columns, rhs = system.genus, system.columns, system.rhs
     nullity = certify_nullity(system)
-    low = min(_valuation(p) + s for p, s in columns)
+    low = min(_valuation(p) + s for p, s in
+              (columns[i] for i in (2 * g - 1, 3 * g - 1, -1)))
     top = max(p.degree() + s for p, s in columns)
     if system.cols - nullity != top - low + 1:
         raise PipelineError(

@@ -315,11 +315,6 @@ class Poly:
             result = result * value + c
         return result * self.content
 
-    def compose(self, other) -> "Poly":
-        """self(other(x)) for a polynomial argument."""
-        r = self(other)
-        return r if isinstance(r, Poly) else Poly.constant(r)
-
     # -- field-coefficient normal forms -----------------------------------
 
     def monic(self) -> "Poly":

@@ -1,5 +1,7 @@
 """Constructions that no command runs, kept as tests of the mathematics.
 
+- Composition of polynomials by Horner's rule, the route the tests check
+  the program's Pascal-row substitution of x+1 against.
 - The commutative square behind the degenerate cover: the normalizations of
   the degenerate source and of the nodal cubic, the cover of nodal curves
   that closes the square, and the check that it commutes.
@@ -30,6 +32,15 @@ from origami_covers.origami import OrigamiDiagram, Permutation
 from origami_covers.poly import Poly, poly_gcd
 from origami_covers.ratfunc import RatFunc
 
+# -- composition -----------------------------------------------------------
+
+
+def compose(p: Poly, q: Poly) -> Poly:
+    """p(q(x)), by Horner's rule in q."""
+    r = p(q)
+    return r if isinstance(r, Poly) else Poly.constant(r)
+
+
 # -- the degenerate square -------------------------------------------------
 
 
@@ -41,7 +52,7 @@ class ParametrizedCurve(NamedTuple):
 
     def satisfies(self, rhs: Poly) -> bool:
         """Check y(u)^2 = rhs(x(u)) as a polynomial identity."""
-        return self.y_of_u * self.y_of_u == rhs.compose(self.x_of_u)
+        return self.y_of_u * self.y_of_u == compose(rhs, self.x_of_u)
 
 
 def nodal_cubic_rhs() -> Poly:
@@ -108,10 +119,10 @@ def pipeline_closure(g: int) -> bool:
     f1, f2 = cover_map.f1, cover_map.f2
     d_sq = big_d * big_d
     w_sq_minus_1 = big_n * big_n - d_sq  # (w^2 - 1) D^2
-    return (f1.num.compose(x_of_u) * d_sq
-            == w_sq_minus_1 * f1.den.compose(x_of_u)
-            and f2.num.compose(x_of_u) * y_of_u * d_sq * big_d
-            == w_sq_minus_1 * big_n * f2.den.compose(x_of_u))
+    return (compose(f1.num, x_of_u) * d_sq
+            == w_sq_minus_1 * compose(f1.den, x_of_u)
+            and compose(f2.num, x_of_u) * y_of_u * d_sq * big_d
+            == w_sq_minus_1 * big_n * compose(f2.den, x_of_u))
 
 
 # -- squarefree part -------------------------------------------------------

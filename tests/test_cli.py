@@ -40,22 +40,13 @@ def count_gcds(capsys, monkeypatch, *argv):
             return fn(*args)
         return counted
     gcd = counting("poly_gcd", poly.poly_gcd)
-    for module in (poly, ratfunc, curves, degeneration):
+    for module in (poly, ratfunc, curves):
         monkeypatch.setattr(module, "poly_gcd", gcd)
     for name in ("gcd_mod_p", "_rational"):
         monkeypatch.setattr(poly, name, counting(name, getattr(poly, name)))
     code, _, _ = run(capsys, *argv)
     assert code == 0
     return counts
-
-
-def assert_no_gcd_over_q(capsys, monkeypatch, *argv):
-    """Run a command and check that each of its gcds is settled by one image
-    over GF(p), with no rational reconstruction: no gcd over Q is taken."""
-    counts = count_gcds(capsys, monkeypatch, *argv)
-    assert counts["poly_gcd"] > 0
-    assert counts["gcd_mod_p"] == counts["poly_gcd"]
-    assert counts["_rational"] == 0
 
 
 class TestGenerate:
@@ -296,6 +287,23 @@ class TestVerify:
             "name": "ramification_shape", "passed": False,
             "witness": "pullback coefficient is not a monomial"}
 
+    def test_pole_at_the_origin_exits_one(self, capsys, tmp_path):
+        # An automorphism of y^2 = x^3 + x with f1 = 1/x: the identity holds
+        # and the pullback is the constant -1.  f1 is in lowest terms, so
+        # its pole at the origin leaves it nonzero there, and the shape is
+        # refused by the vanishing check.
+        doc = {"source_rhs": "x^3 + x", "target_rhs": "x^3 + x",
+               "f1": "1/x", "f2": "1/x^2", "degree": 1}
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["cover_identity"]["passed"]
+        assert checks["ramification_shape"] == {
+            "name": "ramification_shape", "passed": False,
+            "witness": "first map component does not vanish at the origin"}
+
     @pytest.mark.parametrize("fields, seconds", [
         ({"source_rhs": "x^999999999"}, 1),
         ({"source_rhs": "(x^400)^400"}, 1),
@@ -394,8 +402,12 @@ class TestDegenerate:
                          "solve_exact": 1, "_map_polys": 1}
 
     def test_no_gcd_over_q(self, capsys, monkeypatch):
-        assert_no_gcd_over_q(capsys, monkeypatch, "degenerate", "--genus",
-                             "8")
+        # A and B are coprime by the order-t^0 check (certify_nullity's
+        # lemma), and the family's fractions by family_from's, so degenerate
+        # takes no gcd at all.
+        counts = count_gcds(capsys, monkeypatch, "degenerate", "--genus",
+                            "8")
+        assert counts == {"poly_gcd": 0, "gcd_mod_p": 0, "_rational": 0}
 
     def test_no_identity_check_and_no_family_build(self, capsys,
                                                    monkeypatch):

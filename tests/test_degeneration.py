@@ -10,6 +10,7 @@ import math_oracle
 from linalg import LinearSystem
 from linalg import solve_exact as bareiss
 from math_oracle import (
+    compose,
     degenerate_cover,
     nodal_cubic_rhs,
     normalize_degenerate_source,
@@ -138,7 +139,7 @@ class TestPushDown:
     @example([-3, 0, 2, 0])
     def test_pascal_rows_match_horner(self, cs):
         # Every slot, trailing zeros included, against Horner composition.
-        horner = list(Poly(cs).compose(Poly([1, 1])).coeffs)
+        horner = list(compose(Poly(cs), Poly([1, 1])).coeffs)
         assert _at_x_plus_1(cs) == horner + [0] * (len(cs) - len(horner))
 
 
@@ -368,7 +369,11 @@ class TestNullityCertificate:
 
     @pytest.mark.parametrize("breakage, reason", [
         (lambda a, b: (x * a, b), "A(0) = 0"),
-        (lambda a, b: ((x + 2) * a, (x + 2) * b), "A and B share a factor"),
+        # Coprimality rests on the t^0 check that assemble_deformation_system
+        # makes, so with that check bypassed only the kernel vector's check
+        # catches a common factor.
+        (lambda a, b: ((x + 2) * a, (x + 2) * b),
+         "the kernel vector does not check"),
         (lambda a, b: (Poly([1]), b), "deg A < 2"),
         (lambda a, b: (a, (x + 1) * b), "B(-1) = 0"),
         # 2B halves v = A(-1) / (2B(-1)), so V = vA misses the kernel.
@@ -380,3 +385,10 @@ class TestNullityCertificate:
         broken = system._replace(maps=breakage(*system.maps))
         with pytest.raises(PipelineError, match=re.escape(reason)):
             certify_nullity(broken)
+
+    def test_common_factor_fails_the_order_zero_check(self):
+        # The t^0 identity (x+1) A^2 = X + B^2 is what makes A and B
+        # coprime, and a common factor breaks it.
+        a, b = _map_polys(3)
+        with pytest.raises(PipelineError, match=re.escape("order t^0")):
+            assemble_deformation_system(3, ((x + 2) * a, (x + 2) * b))

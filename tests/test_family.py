@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from math_oracle import compose
 from origami_covers import cli, curves, degeneration, family, poly, ratfunc
 from origami_covers.cli import main
 from origami_covers.curves import (
@@ -113,8 +114,8 @@ def binomial_companions(g):
     """j and k as the binomial sums of their definition, expanded by
     Horner's rule in x+1."""
     n, x_plus_1 = 2 * g - 1, Poly([1, 1])
-    return tuple(Poly([math.comb(n, 2 * i + odd) for i in range(g)])
-                 .compose(x_plus_1) for odd in (0, 1))
+    return tuple(compose(Poly([math.comb(n, 2 * i + odd) for i in range(g)]),
+                         x_plus_1) for odd in (0, 1))
 
 
 def dickson_companions(g):
@@ -147,14 +148,17 @@ class TestClosedForms:
     def test_dickson_recurrences(self, g):
         assert (j_poly(g), k_poly(g)) == dickson_companions(g)
 
-    @pytest.mark.parametrize("argv, gcds, composes", [
-        (["generate", "--genus", "12"], 0, 0),
-        # certify_nullity's gcd, and no composition: the rediscovery route
-        # is _map_polys's Pascal-row push-down, independent of the closed
-        # forms.
-        (["degenerate", "--genus", "8"], 1, 0),
+    @pytest.mark.parametrize("argv, expected", [
+        (["generate", "--genus", "12"],
+         {"poly_gcd": 0, "two_branch_map": 0, "coprime": 2, "_kronecker": 49}),
+        # No gcd: certify_nullity's coprimality follows from the t^0 check.
+        # No two-branch map either: the rediscovery route is _map_polys's
+        # push-down of the binomials by Pascal rows, independent of the
+        # closed forms.  The two fractions are family_from's.
+        (["degenerate", "--genus", "8"],
+         {"poly_gcd": 0, "two_branch_map": 0, "coprime": 2, "_kronecker": 8}),
     ], ids=["generate", "degenerate"])
-    def test_command_counts(self, monkeypatch, capsys, argv, gcds, composes):
+    def test_command_counts(self, monkeypatch, capsys, argv, expected):
         calls = Counter()
 
         def counting(name, fn):
@@ -163,13 +167,17 @@ class TestClosedForms:
                 return fn(*args)
             return counted
         gcd = counting("poly_gcd", poly.poly_gcd)
-        for module in (poly, ratfunc, curves, degeneration):
+        for module in (poly, ratfunc, curves):
             monkeypatch.setattr(module, "poly_gcd", gcd)
-        monkeypatch.setattr(Poly, "compose",
-                            counting("compose", Poly.compose))
+        monkeypatch.setattr(degeneration, "two_branch_map", counting(
+            "two_branch_map", degeneration.two_branch_map))
+        monkeypatch.setattr(RatFunc, "coprime", classmethod(
+            counting("coprime", RatFunc.coprime.__func__)))
+        monkeypatch.setattr(poly, "_kronecker",
+                            counting("_kronecker", poly._kronecker))
         assert main(argv) == 0
         capsys.readouterr()
-        assert (calls["poly_gcd"], calls["compose"]) == (gcds, composes)
+        assert {name: calls[name] for name in expected} == expected
 
 
 class TestLowestTerms:
