@@ -11,10 +11,15 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from fractions import Fraction
 from itertools import zip_longest
 
-from .errors import InvalidCover, InvalidCurve, ParseError, UnsupportedShape
+from .errors import (
+    InvalidCover,
+    InvalidCurve,
+    NotDivisible,
+    ParseError,
+    UnsupportedShape,
+)
 from .parsing import (
     MAX_PARSE_DEGREE,
     format_poly,
@@ -23,7 +28,6 @@ from .parsing import (
     parse_ratfunc,
 )
 from .poly import Poly, poly_gcd
-from .ratfunc import RatFunc
 
 
 class HyperellipticCurve(namedtuple("HyperellipticCurve", "rhs")):
@@ -70,11 +74,10 @@ class CoverCertificate(namedtuple("CoverCertificate", "ok witness")):
 
 class RamificationReport(namedtuple(
         "RamificationReport",
-        "branch_point_x ramification_index pullback_coefficient"
-        " vanishing_order_at_origin riemann_hurwitz_balanced")):
-    """The certified ramification at the origin: the branch point's x, the
-    ramification index there, the coefficient of dx/y in the pulled-back
-    differential, its vanishing order at the origin, and whether
+        "ramification_index vanishing_order_at_origin"
+        " riemann_hurwitz_balanced")):
+    """The certified ramification at the origin: its index, the vanishing
+    order there of the pulled-back differential, and whether
     Riemann-Hurwitz balances with that single branch point."""
 
     __slots__ = ()
@@ -145,22 +148,23 @@ def verify_cover_identity(cover: Cover) -> CoverCertificate:
     return CoverCertificate(ok=True, witness="")
 
 
-def pullback_invariant_differential(cover: Cover) -> RatFunc:
-    """Coefficient lambda(x) of dx/y in the pullback of dx/y on the target.
+def pullback_invariant_differential(cover: Cover) -> Poly | None:
+    """Coefficient lambda(x) of dx/y in the pullback of dx/y on the target,
+    or None when it is not a polynomial.
 
-    With y_target = f2(x) * y_source this is f1'(x) / f2(x), reduced.  For
-    f1 = a/b and f2 = n/d that is top/bottom with top = (a'b - ab')d and
-    bottom = b^2 n.  When bottom divides top, as it does for the family,
-    the quotient is the reduced value and no gcd is taken.
+    With y_target = f2(x) * y_source this is f1'(x) / f2(x): for f1 = a/b
+    and f2 = n/d, the lambda with lambda * b^2 n = (a'b - ab') d.  It is a
+    polynomial exactly when b^2 n divides (a'b - ab') d; no gcd is taken.
     """
     f1, f2 = cover.map.f1, cover.map.f2
     if not f2:
         raise InvalidCover("second map component is zero")
     a, b = f1.num, f1.den
     top = (a.derivative() * b - a * b.derivative()) * f2.den
-    bottom = b * b * f2.num
-    quotient, remainder = divmod(top, bottom)
-    return RatFunc(top, bottom) if remainder else RatFunc(quotient)
+    try:
+        return top.exact_div(b * b * f2.num)
+    except NotDivisible:
+        return None
 
 
 def ramification_report(cover: Cover) -> RamificationReport:
@@ -171,24 +175,19 @@ def ramification_report(cover: Cover) -> RamificationReport:
     branch point accounts for the whole Riemann-Hurwitz budget.
     """
     lam = pullback_invariant_differential(cover)
-    if not lam.is_poly():
+    if lam is None:
         raise UnsupportedShape("pullback coefficient is not a polynomial")
-    lam_poly = lam.as_poly()
-    nonzero = [e for e, c in enumerate(lam_poly.coeffs) if c]
-    if len(nonzero) != 1:
+    # A monomial has exactly one nonzero entry, its last; zero has none.
+    if not lam.ints or any(lam.ints[:-1]):
         raise UnsupportedShape("pullback coefficient is not a monomial")
-    m = nonzero[0]
     # f1 is in lowest terms, so a pole at the origin (den(0) = 0) makes
     # num(0) != 0: index 0, refused below.
-    f1 = cover.map.f1
-    index = next(e for e, c in enumerate(f1.num.coeffs) if c)
+    index = next(e for e, c in enumerate(cover.map.f1.num.ints) if c)
     if index < 1:
         raise UnsupportedShape("first map component does not vanish at the origin")
     return RamificationReport(
-        branch_point_x=Fraction(0),
         ramification_index=index,
-        pullback_coefficient=lam,
-        vanishing_order_at_origin=2 * m,
+        vanishing_order_at_origin=2 * lam.degree(),
         riemann_hurwitz_balanced=riemann_hurwitz_balanced(cover, index),
     )
 

@@ -6,7 +6,7 @@ class OrigamiCoversError(Exception):
 
 
 class NotDivisible(OrigamiCoversError):
-    """Exact polynomial division left a nonzero remainder."""
+    """The divisor of an exact polynomial division does not divide."""
 
 
 class DivisionByZero(OrigamiCoversError):

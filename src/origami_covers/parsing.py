@@ -419,7 +419,7 @@ def format_poly(p) -> str:
 
 def format_ratfunc(r: RatFunc) -> str:
     """Print a rational function; the denominator is always parenthesized."""
-    if r.is_poly() and r.den == 1:
+    if r.den == 1:
         return format_poly(r.num)
     num = format_poly(r.num)
     if sum(1 for c in r.num.ints if c) > 1 or num.startswith("-"):

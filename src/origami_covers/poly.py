@@ -294,11 +294,36 @@ class Poly:
         return _normal(quo, ratio / scale), _normal(rem, self.content / scale)
 
     def exact_div(self, other) -> "Poly":
-        """Exact quotient; raises :class:`NotDivisible` on nonzero remainder."""
-        q, r = divmod(self, other)
-        if r:
-            raise NotDivisible(f"{self!r} is not divisible by {other!r}")
-        return q
+        """Exact quotient; raises :class:`NotDivisible` when there is none.
+
+        By Gauss's lemma the primitive parts A and B divide over Z when the
+        polynomials divide over Q, and their quotient is primitive with a
+        positive leading coefficient.  So A is divided by B over Z, and the
+        division stops at the first step that shows it cannot be exact: a
+        top coefficient that lc(B) does not divide, or a quotient
+        coefficient above 2^(deg q + 1) * ||A||_1, which no factor q of A
+        can have (Mignotte, Math. Comp. 28, 1974).
+        """
+        if not other:
+            raise ZeroDivisionError("polynomial division by zero")
+        a, b = self.ints, other.ints
+        if not a:
+            return self
+        lead, low = b[-1], b[:-1]
+        rem, quo = list(a), [0] * max(len(a) - len(b) + 1, 0)
+        bound = sum(map(abs, a)) << len(quo)
+        for shift in reversed(range(len(quo))):
+            top = rem.pop()
+            if not top:
+                continue
+            f, r = divmod(top, lead)
+            if r or abs(f) > bound:
+                raise NotDivisible("the division is not exact")
+            quo[shift] = f
+            rem[shift:] = [c - f * d for c, d in zip(rem[shift:], low)]
+        if any(rem):
+            raise NotDivisible("the division is not exact")
+        return _make(tuple(quo), self.content / other.content)
 
     # -- calculus / evaluation --------------------------------------------
 

@@ -71,20 +71,13 @@ class RatFunc:
     def __setattr__(self, *args):
         raise AttributeError("RatFunc is immutable")
 
-    def is_poly(self) -> bool:
-        return self.den.is_constant()
-
-    def as_poly(self) -> Poly:
-        if not self.is_poly():
-            raise ValueError("rational function is not a polynomial")
-        return self.num * (1 / self.den.constant_value())
-
     def __bool__(self):
         return bool(self.num)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Poly)):
-            return self.is_poly() and self.as_poly() == other
+            # A canonical denominator is constant exactly when it is 1.
+            return self.den == 1 and self.num == other
         if not isinstance(other, RatFunc):
             return NotImplemented
         return self.num == other.num and self.den == other.den

@@ -304,6 +304,37 @@ class TestVerify:
             "name": "ramification_shape", "passed": False,
             "witness": "first map component does not vanish at the origin"}
 
+    def test_rational_pullback_exits_one(self, capsys, tmp_path):
+        # (x, y) -> (x^2, x^2 y) maps y^2 = x^2 - 1 onto the nodal
+        # y^2 = x^3 - x^2, but f1'/f2 = 2/x is not a polynomial.
+        doc = {"source_rhs": "x^2 - 1", "target_rhs": "x^3 - x^2",
+               "f1": "x^2", "f2": "x^2", "degree": 2}
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["cover_identity"]["passed"]
+        assert checks["ramification_shape"] == {
+            "name": "ramification_shape", "passed": False,
+            "witness": "pullback coefficient is not a polynomial"}
+
+    def test_zero_pullback_is_not_a_monomial(self, capsys, tmp_path):
+        # A constant f1 = 0 with f2 = 1 satisfies the identity 1 = q(0),
+        # and its pullback is 0, which has no monomial shape.
+        doc = {"source_rhs": "1", "target_rhs": "x^3 - x + 1",
+               "f1": "0", "f2": "1", "degree": 1}
+        path = tmp_path / "cover.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "verify", str(path))
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["cover_identity"]["passed"]
+        assert not checks["degree"]["passed"]
+        assert checks["ramification_shape"] == {
+            "name": "ramification_shape", "passed": False,
+            "witness": "pullback coefficient is not a monomial"}
+
     @pytest.mark.parametrize("fields, seconds", [
         ({"source_rhs": "x^999999999"}, 1),
         ({"source_rhs": "(x^400)^400"}, 1),

@@ -259,6 +259,39 @@ class TestRingAxioms:
         assert r.degree() < b.degree() or not r
 
 
+class TestExactDivision:
+    """``exact_div`` divides the primitive integer parts and stops at the
+    first step that shows the division is not exact; ``divmod`` over Q is
+    its oracle."""
+
+    @given(q=polys(), b=nonzero_polys(), r=st.one_of(st.just(Poly()),
+                                                      polys(max_size=4)),
+           lead=st.one_of(st.just(0), st.integers(min_value=2**200,
+                                                  max_value=2**256)),
+           sign=st.sampled_from((1, -1)))
+    # A zero dividend, and a dividend below the divisor's degree.
+    @example(q=Poly(), b=x**3 + 2, r=Poly(), lead=0, sign=1)
+    @example(q=Poly(), b=x + 1, r=Poly([3]), lead=2**200, sign=-1)
+    # Over Z the first step 3x / 2x is not integral; dividing anyway would
+    # leave a zero remainder and the wrong quotient 1.
+    @example(q=Poly(), b=2 * x + 1, r=3 * x + 1, lead=0, sign=1)
+    # Every step is integral, but the quotient's coefficients pass
+    # 2^41 * ||x^40 + 1||_1, which no factor of x^40 + 1 reaches.
+    @example(q=Poly(), b=x - (2**2000 + 7), r=x**40 + 1, lead=0, sign=1)
+    def test_matches_divmod(self, q, b, r, lead, sign):
+        # A leading coefficient lead >= 2^200 put on b makes big divisors;
+        # r = 0 makes divisible pairs.
+        if lead:
+            b = b + sign * lead * x ** (b.degree() + 1)
+        a = q * b + r
+        quotient, remainder = divmod(a, b)
+        if remainder:
+            with pytest.raises(NotDivisible):
+                a.exact_div(b)
+        else:
+            assert a.exact_div(b) == quotient
+
+
 class TestNormalForms:
     @given(a=nonzero_polys())
     def test_monic_idempotent(self, a):
