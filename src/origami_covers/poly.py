@@ -358,7 +358,7 @@ class Poly:
         return self.content, _make(self.ints, ONE)
 
 
-# -- gcd: images over GF(p), lifted by CRT and rational reconstruction ------
+# -- gcd: images over GF(p), lifted to Z[x] by CRT -------------------------
 
 
 def _rem_mod_p(a: list, b: list, p: int) -> list:
@@ -416,29 +416,23 @@ def _prime(i: int) -> int:
     return n
 
 
-def _rational(c: int, m: int):
-    """The fraction r/s = c mod m with |r|, s <= sqrt(m/2), or None."""
-    bound = math.isqrt(m // 2)
-    r0, r1, s0, s1 = m, c, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
-    if not s1 or abs(s1) > bound or math.gcd(r1, s1) != 1:
-        return None
-    return Fraction(r1, s1)
-
-
 def poly_gcd(a: Poly, b: Poly) -> Poly:
     """Monic greatest common divisor of rational-coefficient polynomials.
 
-    A modular gcd (Geddes, Czapor and Labahn, *Algorithms for Computer
-    Algebra*, ch. 7).  For each prime p dividing neither leading
-    coefficient of the primitive parts A and B, the image gcd(A mod p,
-    B mod p) has degree at least deg gcd(a, b), since the image of the true
-    gcd divides it; images of the least degree seen are combined by CRT
-    and lifted by rational reconstruction.  A lift that divides both a and
-    b is a common divisor of at least the greatest degree, so it is the
-    gcd; otherwise more primes are added.
+    Brown's modular gcd, in integers throughout (W. S. Brown, J. ACM 18(4),
+    1971; Geddes, Czapor and Labahn, *Algorithms for Computer Algebra*,
+    ch. 7).  A and B are the primitive parts of a and b, G their primitive
+    gcd and gamma = gcd(lc A, lc B).  For each prime p dividing neither
+    lc(A) nor lc(B), G mod p divides the monic image gcd(A mod p, B mod p).
+    Images of the least degree seen are scaled by gamma, combined by CRT
+    into residues mod M read in (-M/2, M/2], and the primitive part of this
+    lift is accepted when it divides both A and B.
+
+    Lemma: the accepted lift is the gcd.  G is primitive and lc(G) divides
+    gamma, so for a prime whose image has degree deg G, gamma times the
+    image is H = (gamma/lc G) * G mod p.  Once M > 2 ||H||_inf the residues
+    are H, whose primitive part G divides both; and any earlier lift that
+    divides both is a common divisor of degree at least deg G.
 
     Lemma: an image of degree 0 proves a and b coprime.  Suppose a and b
     had a common factor over Q of degree >= 1, and scale it to h, primitive
@@ -454,6 +448,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return (a or b).monic()
     big_a, big_b = a.ints, b.ints
     leads = big_a[-1] * big_b[-1]
+    gamma = math.gcd(big_a[-1], big_b[-1])
     image, modulus = None, 1
     for p in map(_prime, count()):
         if not leads % p:
@@ -461,6 +456,7 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         g = gcd_mod_p([c % p for c in big_a], [c % p for c in big_b], p)
         if len(g) == 1:
             return Poly.constant(1)
+        g = [c * gamma % p for c in g]
         if image is None or len(g) < len(image):
             image, modulus = g, p
         elif len(g) > len(image):
@@ -470,12 +466,14 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
             image = [u + modulus * ((v - u) * step % p)
                      for u, v in zip(image, g)]
             modulus *= p
-        lift = [_rational(c, modulus) for c in image]
-        if None in lift:
+        lift = _normal([c - modulus if 2 * c > modulus else c
+                        for c in image], ONE)
+        try:
+            a.exact_div(lift)
+            b.exact_div(lift)
+        except NotDivisible:
             continue
-        candidate = Poly(lift)
-        if not divmod(a, candidate)[1] and not divmod(b, candidate)[1]:
-            return candidate
+        return lift.monic()
 
 
 # -- Q[t][x] by powers of t ------------------------------------------------

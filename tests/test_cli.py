@@ -31,8 +31,8 @@ def run(capsys, *argv):
 
 def count_gcds(capsys, monkeypatch, *argv):
     """Run a command, check that it exits 0, and count its calls to
-    ``poly_gcd``, to ``gcd_mod_p`` and to the rational lift ``_rational``."""
-    counts = dict.fromkeys(("poly_gcd", "gcd_mod_p", "_rational"), 0)
+    ``poly_gcd`` and to its images ``gcd_mod_p``."""
+    counts = dict.fromkeys(("poly_gcd", "gcd_mod_p"), 0)
 
     def counting(name, fn):
         def counted(*args):
@@ -42,8 +42,8 @@ def count_gcds(capsys, monkeypatch, *argv):
     gcd = counting("poly_gcd", poly.poly_gcd)
     for module in (poly, ratfunc, curves):
         monkeypatch.setattr(module, "poly_gcd", gcd)
-    for name in ("gcd_mod_p", "_rational"):
-        monkeypatch.setattr(poly, name, counting(name, getattr(poly, name)))
+    monkeypatch.setattr(poly, "gcd_mod_p",
+                        counting("gcd_mod_p", poly.gcd_mod_p))
     code, _, _ = run(capsys, *argv)
     assert code == 0
     return counts
@@ -78,7 +78,7 @@ class TestGenerate:
         # The family's fractions are in lowest terms by a checked lemma
         # (family.family_from), so generate takes no gcd at all.
         counts = count_gcds(capsys, monkeypatch, "generate", "--genus", "8")
-        assert counts == {"poly_gcd": 0, "gcd_mod_p": 0, "_rational": 0}
+        assert counts == {"poly_gcd": 0, "gcd_mod_p": 0}
 
     def test_genus_guard(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -438,7 +438,7 @@ class TestDegenerate:
         # takes no gcd at all.
         counts = count_gcds(capsys, monkeypatch, "degenerate", "--genus",
                             "8")
-        assert counts == {"poly_gcd": 0, "gcd_mod_p": 0, "_rational": 0}
+        assert counts == {"poly_gcd": 0, "gcd_mod_p": 0}
 
     def test_no_identity_check_and_no_family_build(self, capsys,
                                                    monkeypatch):

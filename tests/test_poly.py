@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -124,9 +125,33 @@ class TestGcd:
         assert poly_gcd(x**5 + x**4, x**4) == x**4
 
     def test_lift_needs_several_primes(self):
-        # Reconstructing (2^200 + 1)/3 needs a modulus above 2^401.
+        # The lift is 3x - (2^200 + 1), which needs a modulus above 2^201:
+        # four primes.
         c = x - Fraction(2**200 + 1, 3)
         assert poly_gcd(c * (x + 1), c * (x + 2)) == c
+
+    def test_lift_scaled_past_the_gcds_leading_coefficient(self):
+        # gamma = gcd(6, 18) = 6 while lc G = 2, so each scaled image is
+        # 3 * (2x + 3) mod p, whose primitive part is the gcd.
+        a, b = (2 * x + 3) * (3 * x + 1), (2 * x + 3) * (9 * x + 7)
+        assert poly_gcd(a, b) == x + Fraction(3, 2)
+
+    def test_lift_needs_few_images(self, monkeypatch):
+        # h is primitive and gamma = lc(h), so the scaled images lift to h
+        # itself, whose coefficients have up to 999 bits.  The modulus must
+        # pass twice the largest, about 2^1000: 16 primes just below 2^61
+        # give 976 bits and 17 give 1037.
+        rng = random.Random(61)
+        h = Poly([rng.getrandbits(1000) - 2**999 for _ in range(80)]
+                 + [rng.getrandbits(1000) | 1])
+        images = []
+
+        def counted(a, b, p, _gcd=poly.gcd_mod_p):
+            images.append(p)
+            return _gcd(a, b, p)
+        monkeypatch.setattr(poly, "gcd_mod_p", counted)
+        assert poly_gcd(h * (x**3 + 5), h * (x**2 + 3)) == h.monic()
+        assert len(images) <= 17
 
     def test_unlucky_prime_is_discarded(self):
         # Modulo p = 2^61 - 1, the first prime tried, x + p is x, so the
@@ -154,42 +179,6 @@ class TestGcd:
         monkeypatch.setattr(poly, "_is_prime", no_more_tests)
         assert poly_gcd(*several) == c
         assert poly_gcd(x, x + 1) == 1
-
-    @staticmethod
-    def small_fractions(c, m):
-        """Every r/s in lowest terms with r = c s (mod m) and |r|, s at most
-        isqrt(m // 2), by search."""
-        bound = math.isqrt(m // 2)
-        return [Fraction(r, s) for s in range(1, bound + 1)
-                for r in range(-bound, bound + 1)
-                if math.gcd(r, s) == 1 and (r - c * s) % m == 0]
-
-    def test_rational_none_without_small_fraction(self):
-        # The bound is isqrt(50) = 7, and 8 s mod 101 lies in 8..56 for
-        # s = 1..7, so no |r| <= 7 fits.
-        assert self.small_fractions(8, 101) == []
-        assert poly._rational(8, 101) is None
-
-    @given(m=st.integers(min_value=2, max_value=2000),
-           c=st.integers(min_value=0, max_value=1999))
-    def test_rational_contract(self, m, c):
-        c %= m
-        bound = math.isqrt(m // 2)
-        lift = poly._rational(c, m)
-        if lift is None:
-            assert self.small_fractions(c, m) == []
-        else:
-            r, s = lift.numerator, lift.denominator
-            assert (r - c * s) % m == 0
-            assert abs(r) <= bound and s <= bound
-
-    # For m = 2^61 - 1 the bound isqrt(m // 2) is 2^30 - 1.
-    @given(r=st.integers(min_value=1 - 2**30, max_value=2**30 - 1),
-           s=st.integers(min_value=1, max_value=2**30 - 1))
-    def test_rational_recovers_small_fraction(self, r, s):
-        m = poly._prime(0)
-        assert math.isqrt(m // 2) == 2**30 - 1
-        assert poly._rational(r * pow(s, -1, m) % m, m) == Fraction(r, s)
 
     @given(a=nonzero_polys(), b=nonzero_polys())
     def test_gcd_divides_both(self, a, b):

@@ -45,14 +45,18 @@ class TestCanonicalForm:
 
 class TestModularCertificate:
     def test_coprime_pair_needs_no_gcd(self, monkeypatch):
-        # One image over GF(PRIME) settles it, with no lift to Q.
+        # One image over GF(PRIME) settles it, with no lift and no trial
+        # division.
         images = []
 
         def counted(a, b, p, _gcd=poly.gcd_mod_p):
             images.append(p)
             return _gcd(a, b, p)
+
+        def no_division(*args):
+            raise AssertionError("a lift was tried")
         monkeypatch.setattr(poly, "gcd_mod_p", counted)
-        monkeypatch.setattr(poly, "_rational", None)
+        monkeypatch.setattr(Poly, "exact_div", no_division)
         r = RatFunc(x**5, (3 * x + 4) ** 2)
         assert r.num == x**5 and r.den == 9 * x * x + 24 * x + 16
         assert images == [PRIME]
